@@ -86,27 +86,6 @@ class LabelVocab:
         except KeyError:
             raise LabelLookupError(f"unknown NE tag {tag!r}") from None
 
-    def reverse_label(self, label: str) -> str:
-        """Map a forward label to its reversed partner and vice versa.
-
-        The map is an involution: ``reverse_label(reverse_label(l)) == l``.
-        """
-        if label in self._dep_index:  # type: ignore[attr-defined]
-            return label + REVERSED_SUFFIX
-        base = label[: -len(REVERSED_SUFFIX)] if label.endswith(REVERSED_SUFFIX) else None
-        if base is not None and base in self._dep_index:  # type: ignore[attr-defined]
-            return base
-        raise LabelLookupError(f"unknown label {label!r}")
-
-    def label_row(self, label: str) -> int:
-        """Embedding row over the forward+reversed universe (forward rows first)."""
-        if label in self._dep_index:  # type: ignore[attr-defined]
-            return self._dep_index[label]  # type: ignore[attr-defined]
-        base = label[: -len(REVERSED_SUFFIX)] if label.endswith(REVERSED_SUFFIX) else None
-        if base is not None and base in self._dep_index:  # type: ignore[attr-defined]
-            return self.num_dep_labels + self._dep_index[base]  # type: ignore[attr-defined]
-        raise LabelLookupError(f"unknown label {label!r}")
-
 
 @dataclass(frozen=True)
 class Sentence:

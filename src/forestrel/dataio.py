@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,20 +178,29 @@ def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabil
 # Forest and tree files
 
 
-def write_forests(forests_by_id: dict[str, DependencyForest], path: str | Path) -> None:
-    """Write forests in map order; edges are already canonically sorted."""
+def _write_edge_rows(structures_by_id: dict, path: str | Path) -> None:
+    """One forest-format line per forest or tree, in map order; their edges
+    are already canonically sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sid, forest in forests_by_id.items():
+        for sid, structure in structures_by_id.items():
             obj = {
                 "id": sid,
-                "n": forest.n,
-                "edges": [[e.head, e.label, e.modifier, e.prob] for e in forest.edges],
+                "n": structure.n,
+                "edges": [[e.head, e.label, e.modifier, e.prob] for e in structure.edges],
             }
             fh.write(_dumps(obj) + "\n")
 
 
-def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyForest]:
-    out: dict[str, DependencyForest] = {}
+def _read_edge_rows(
+    path: str | Path,
+    vocab: LabelVocab,
+    build: Callable[[str, int, list[DependencyEdge]], object],
+) -> dict:
+    """Parse forest-format lines; ``build(sid, n, edges)`` makes each value.
+
+    Any violation, including one ``build`` raises, fails with the line number.
+    """
+    out: dict = {}
     for no, line in _read_lines(path):
         try:
             obj = json.loads(line)
@@ -204,50 +213,40 @@ def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyFor
             ]
             for e in edges:
                 vocab.dep_index(e.label)
-            out[sid] = DependencyForest.from_edges(sid, int(obj["n"]), edges, vocab)
+            out[sid] = build(sid, int(obj["n"]), edges)
         except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out
 
 
+def write_forests(forests_by_id: dict[str, DependencyForest], path: str | Path) -> None:
+    """Write forests in map order; edges are already canonically sorted."""
+    _write_edge_rows(forests_by_id, path)
+
+
+def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyForest]:
+    return _read_edge_rows(
+        path, vocab, lambda sid, n, edges: DependencyForest.from_edges(sid, n, edges, vocab)
+    )
+
+
 def save_trees(trees_by_id: dict[str, DependencyTree], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sid, tree in trees_by_id.items():
-            obj = {
-                "id": sid,
-                "n": tree.n,
-                "edges": [[e.head, e.label, e.modifier, e.prob] for e in tree.edges],
-            }
-            fh.write(_dumps(obj) + "\n")
+    _write_edge_rows(trees_by_id, path)
+
+
+def _tree_from_row(sid: str, n: int, edges: list[DependencyEdge]) -> DependencyTree:
+    if len(edges) != n:
+        raise DataFormatError(f"tree for {sid!r} has {len(edges)} edges for {n} tokens")
+    tree = DependencyTree.from_edges(edges)
+    problems = check_tree(tree)
+    if problems:
+        raise DataFormatError("; ".join(problems))
+    return tree
 
 
 def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]:
     """Read trees stored in the forest format, enforcing tree invariants."""
-    out: dict[str, DependencyTree] = {}
-    for no, line in _read_lines(path):
-        try:
-            obj = json.loads(line)
-            sid = str(obj["id"])
-            if sid in out:
-                raise DataFormatError(f"duplicate sentence id {sid!r}")
-            edges = [
-                DependencyEdge(int(h), str(label), int(m), float(p))
-                for h, label, m, p in obj["edges"]
-            ]
-            for e in edges:
-                vocab.dep_index(e.label)
-            if len(edges) != int(obj["n"]):
-                raise DataFormatError(
-                    f"tree for {sid!r} has {len(edges)} edges for {obj['n']} tokens"
-                )
-            tree = DependencyTree.from_edges(edges)
-            problems = check_tree(tree)
-            if problems:
-                raise DataFormatError("; ".join(problems))
-            out[sid] = tree
-        except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{no}: {exc}") from exc
-    return out
+    return _read_edge_rows(path, vocab, _tree_from_row)
 
 
 # --------------------------------------------------------------------------

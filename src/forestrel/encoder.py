@@ -12,6 +12,9 @@ confidence weighting is on, each message is scaled by the arc's probability;
 those scalars are constants and receive no gradient.  ROOT-anchored arcs never
 enter the graph.
 
+The sequence LSTMs and the graph update share one gated cell (``_cell`` and
+``_cell_backward``); only the way they form its gate pre-activations differs.
+
 Everything is float64 numpy.  ``backward`` consumes the trace recorded by
 ``forward_instance`` and returns exact reverse-mode gradients for every
 parameter tensor; message summation follows the canonical edge order so equal
@@ -23,7 +26,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -32,7 +35,11 @@ from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN
 
 STRUCTURES = ("textonly", "tree", "forest")
 
+# Parameter creation order of the graph update's gates (fixes the RNG draws).
 _GATES = ("in", "out", "forget", "cand")
+# Order of the gate blocks in a gated cell's stacked pre-activations; the
+# LSTM weight rows follow it.
+_CELL_ORDER = ("in", "forget", "out", "cand")
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,36 @@ class ModelParams:
         return sum(t.size for t in self.tensors.values())
 
 
+def _param_specs(
+    config: ModelConfig, vocab: LabelVocab, num_words: int
+) -> dict[str, tuple[tuple[int, ...], str]]:
+    """Every tensor's shape and initializer, in creation (and RNG draw) order.
+
+    Initializers: ``"emb"`` is small uniform, ``"glorot"`` is the uniform
+    Glorot range of the matrix, ``"zeros"`` draws nothing.
+    """
+    dw, dl, dr = config.dim_word, config.dim_label, config.dim_hidden
+    ds = config.dim_state
+    specs: dict[str, tuple[tuple[int, ...], str]] = {
+        "word_emb": ((num_words, dw), "emb"),
+        "label_emb": ((2 * vocab.num_dep_labels, dl), "emb"),
+    }
+    for direction in ("l", "r"):
+        specs[f"lstm_{direction}.Wx"] = ((4 * dr, dw), "glorot")
+        specs[f"lstm_{direction}.Wh"] = ((4 * dr, dr), "glorot")
+        specs[f"lstm_{direction}.b"] = ((4 * dr,), "zeros")
+    for gate in _GATES:
+        specs[f"grn.Wup_{gate}"] = ((ds, ds + dl), "glorot")
+        specs[f"grn.Wdn_{gate}"] = ((ds, ds + dl), "glorot")
+        specs[f"grn.b_{gate}"] = ((ds,), "zeros")
+    specs["cls.W"] = ((len(vocab.relations), 2 * ds), "glorot")
+    specs["cls.b"] = ((len(vocab.relations),), "zeros")
+    if config.ner_head:
+        specs["ner.W"] = ((len(vocab.ne_tags), ds), "glorot")
+        specs["ner.b"] = ((len(vocab.ne_tags),), "zeros")
+    return specs
+
+
 def init_params(
     config: ModelConfig, vocab: LabelVocab, num_words: int
 ) -> ModelParams:
@@ -102,29 +139,15 @@ def init_params(
     small uniform.
     """
     rng = np.random.default_rng(config.seed)
-    dw, dl, dr = config.dim_word, config.dim_label, config.dim_hidden
-    ds = config.dim_state
-
-    def glorot(rows: int, cols: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
-
     tensors: dict[str, np.ndarray] = {}
-    tensors["word_emb"] = rng.uniform(-0.1, 0.1, size=(num_words, dw))
-    tensors["label_emb"] = rng.uniform(-0.1, 0.1, size=(2 * vocab.num_dep_labels, dl))
-    for direction in ("l", "r"):
-        tensors[f"lstm_{direction}.Wx"] = glorot(4 * dr, dw)
-        tensors[f"lstm_{direction}.Wh"] = glorot(4 * dr, dr)
-        tensors[f"lstm_{direction}.b"] = np.zeros(4 * dr)
-    for gate in _GATES:
-        tensors[f"grn.Wup_{gate}"] = glorot(ds, ds + dl)
-        tensors[f"grn.Wdn_{gate}"] = glorot(ds, ds + dl)
-        tensors[f"grn.b_{gate}"] = np.zeros(ds)
-    tensors["cls.W"] = glorot(len(vocab.relations), 2 * ds)
-    tensors["cls.b"] = np.zeros(len(vocab.relations))
-    if config.ner_head:
-        tensors["ner.W"] = glorot(len(vocab.ne_tags), ds)
-        tensors["ner.b"] = np.zeros(len(vocab.ne_tags))
+    for name, (shape, kind) in _param_specs(config, vocab, num_words).items():
+        if kind == "emb":
+            tensors[name] = rng.uniform(-0.1, 0.1, size=shape)
+        elif kind == "glorot":
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            tensors[name] = rng.uniform(-bound, bound, size=shape)
+        else:
+            tensors[name] = np.zeros(shape)
     return ModelParams(tensors)
 
 
@@ -160,12 +183,12 @@ def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+    # Each side of the where is the stable formula for its sign of x, so exp
+    # only sees values <= 0 and never overflows.  Taking -x or x by the same
+    # mask (not -|x|) keeps NaN inputs bit-for-bit too.
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -185,13 +208,55 @@ def embed(params: ModelParams, token_ids: np.ndarray) -> np.ndarray:
 
 
 @dataclass
+class _CellCache:
+    """One gated-cell update: the activated gates stacked on the last axis in
+    ``_CELL_ORDER``, the incoming cell state and the new one."""
+
+    gates: np.ndarray
+    c_prev: np.ndarray
+    c: np.ndarray
+
+
+def _cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, _CellCache]:
+    """The LSTM-style gated update shared by the sequence LSTMs and the graph.
+
+    ``z`` stacks the pre-activations in ``_CELL_ORDER`` on its last axis, for
+    one vector or for a row per word:  c = forget * c_prev + in * cand and
+    h = out * tanh(c).
+    """
+    d = c_prev.shape[-1]
+    gates = np.concatenate([_sigmoid(z[..., : 3 * d]), np.tanh(z[..., 3 * d :])], axis=-1)
+    gi, gf, go, gu = (gates[..., k * d : (k + 1) * d] for k in range(4))
+    c = gf * c_prev + gi * gu
+    return go * np.tanh(c), _CellCache(gates, c_prev, c)
+
+
+def _cell_backward(
+    cache: _CellCache, dh: np.ndarray, dc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the stacked pre-activations and of ``c_prev``, given the
+    gradients reaching the new hidden state and, from later updates, the new
+    cell state."""
+    d = cache.c.shape[-1]
+    gi, gf, go, gu = (cache.gates[..., k * d : (k + 1) * d] for k in range(4))
+    tc = np.tanh(cache.c)
+    dc = dc + dh * go * (1.0 - tc * tc)
+    dz = np.concatenate(
+        [
+            dc * gu * gi * (1.0 - gi),
+            dc * cache.c_prev * gf * (1.0 - gf),
+            dh * tc * go * (1.0 - go),
+            dc * gi * (1.0 - gu * gu),
+        ],
+        axis=-1,
+    )
+    return dz, dc * gf
+
+
+@dataclass
 class _LstmCache:
     x: np.ndarray
-    gate_in: np.ndarray
-    gate_forget: np.ndarray
-    gate_out: np.ndarray
-    cand: np.ndarray
-    cell: np.ndarray
+    cells: list[_CellCache]
     hidden: np.ndarray
     reverse: bool
 
@@ -201,26 +266,15 @@ def _lstm_forward(
 ) -> _LstmCache:
     n = inputs.shape[0]
     dr = wh.shape[1]
-    gi = np.empty((n, dr))
-    gf = np.empty((n, dr))
-    go = np.empty((n, dr))
-    gu = np.empty((n, dr))
-    cell = np.empty((n, dr))
+    cells: list[_CellCache] = [None] * n  # type: ignore[list-item]
     hidden = np.empty((n, dr))
     h = np.zeros(dr)
     c = np.zeros(dr)
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    for t in order:
-        z = wx @ inputs[t] + wh @ h + b
-        gi[t] = _sigmoid(z[:dr])
-        gf[t] = _sigmoid(z[dr : 2 * dr])
-        go[t] = _sigmoid(z[2 * dr : 3 * dr])
-        gu[t] = np.tanh(z[3 * dr :])
-        c = gf[t] * c + gi[t] * gu[t]
-        h = go[t] * np.tanh(c)
-        cell[t] = c
+    for t in range(n - 1, -1, -1) if reverse else range(n):
+        h, cells[t] = _cell(wx @ inputs[t] + wh @ h + b, c)
+        c = cells[t].c
         hidden[t] = h
-    return _LstmCache(inputs, gi, gf, go, gu, cell, hidden, reverse)
+    return _LstmCache(inputs, cells, hidden, reverse)
 
 
 def _lstm_backward(
@@ -232,36 +286,18 @@ def _lstm_backward(
     d_b = np.zeros(4 * dr)
     d_x = np.zeros_like(cache.x)
     dh_carry = np.zeros(dr)
-    dc_carry = np.zeros(dr)
-    order = range(n) if cache.reverse else range(n - 1, -1, -1)
+    dc = np.zeros(dr)
     zeros = np.zeros(dr)
-    for t in order:
-        prev = t + 1 if cache.reverse else t - 1
-        first = (prev == n) if cache.reverse else (prev < 0)
-        c_prev = zeros if first else cache.cell[prev]
-        h_prev = zeros if first else cache.hidden[prev]
-        gi, gf, go, gu = cache.gate_in[t], cache.gate_forget[t], cache.gate_out[t], cache.cand[t]
-        dh = d_hidden[t] + dh_carry
-        tc = np.tanh(cache.cell[t])
-        d_go = dh * tc
-        dc = dc_carry + dh * go * (1.0 - tc * tc)
-        d_gf = dc * c_prev
-        d_gi = dc * gu
-        d_gu = dc * gi
-        dz = np.concatenate(
-            [
-                d_gi * gi * (1.0 - gi),
-                d_gf * gf * (1.0 - gf),
-                d_go * go * (1.0 - go),
-                d_gu * (1.0 - gu * gu),
-            ]
-        )
+    prev_offset = 1 if cache.reverse else -1
+    for t in range(n) if cache.reverse else range(n - 1, -1, -1):
+        prev = t + prev_offset
+        h_prev = cache.hidden[prev] if 0 <= prev < n else zeros
+        dz, dc = _cell_backward(cache.cells[t], d_hidden[t] + dh_carry, dc)
         d_wx += np.outer(dz, cache.x[t])
         d_wh += np.outer(dz, h_prev)
         d_b += dz
         d_x[t] += dz @ wx
         dh_carry = dz @ wh
-        dc_carry = dc * gf
     return d_wx, d_wh, d_b, d_x
 
 
@@ -310,15 +346,9 @@ def compute_messages(
 
 @dataclass
 class GrnStepCache:
-    h_prev: np.ndarray
-    c_prev: np.ndarray
     m_dep: np.ndarray
     m_head: np.ndarray
-    gate_in: np.ndarray
-    gate_out: np.ndarray
-    gate_forget: np.ndarray
-    cand: np.ndarray
-    cell: np.ndarray
+    cell: _CellCache
 
 
 def grn_step(
@@ -329,21 +359,17 @@ def grn_step(
     m_head: np.ndarray,
 ) -> tuple[np.ndarray, GrnStepCache]:
     """One gated update of all word states from their summed messages."""
-
-    def pre(gate: str) -> np.ndarray:
-        return (
+    z = np.concatenate(
+        [
             m_dep @ params[f"grn.Wup_{gate}"].T
             + m_head @ params[f"grn.Wdn_{gate}"].T
             + params[f"grn.b_{gate}"]
-        )
-
-    gi = _sigmoid(pre("in"))
-    go = _sigmoid(pre("out"))
-    gf = _sigmoid(pre("forget"))
-    gu = np.tanh(pre("cand"))
-    cell = gf * c_prev + gi * gu
-    h_new = go * np.tanh(cell)
-    return h_new, GrnStepCache(h_prev, c_prev, m_dep, m_head, gi, go, gf, gu, cell)
+            for gate in _CELL_ORDER
+        ],
+        axis=1,
+    )
+    h_new, cell = _cell(z, c_prev)
+    return h_new, GrnStepCache(m_dep, m_head, cell)
 
 
 def grn_forward(
@@ -363,7 +389,7 @@ def grn_forward(
     for _ in range(steps):
         m_dep, m_head = compute_messages(h, params["label_emb"], graph, weighted)
         h, cache = grn_step(params, h, c, m_dep, m_head)
-        c = cache.cell
+        c = cache.cell.c
         caches.append(cache)
     return h, caches
 
@@ -374,21 +400,6 @@ def mention_pool(h_states: np.ndarray, span: tuple[int, int]) -> np.ndarray:
     if not (1 <= start < end <= h_states.shape[0] + 1):
         raise ValueError(f"span [{start}, {end}) invalid for {h_states.shape[0]} positions")
     return h_states[start - 1 : end - 1].mean(axis=0)
-
-
-def relation_distribution(
-    params: ModelParams, h_first: np.ndarray, h_second: np.ndarray
-) -> np.ndarray:
-    """Softmax over relations from the two pooled mention states."""
-    logits = params["cls.W"] @ np.concatenate([h_first, h_second]) + params["cls.b"]
-    return softmax(logits)
-
-
-def ner_distributions(params: ModelParams, h_states: np.ndarray) -> np.ndarray:
-    """Per-token softmax over NE tags; requires the NER head to be present."""
-    if "ner.W" not in params:
-        raise ValueError("model has no NER head")
-    return softmax(h_states @ params["ner.W"].T + params["ner.b"])
 
 
 @dataclass
@@ -402,20 +413,20 @@ class ForwardTrace:
     weighted: bool
     emb: np.ndarray
     emb_mask: np.ndarray | None
-    lstm_left: _LstmCache = field(repr=False, default=None)  # type: ignore[assignment]
-    lstm_right: _LstmCache = field(repr=False, default=None)  # type: ignore[assignment]
-    h0: np.ndarray = None  # type: ignore[assignment]
-    grn_caches: list[GrnStepCache] = field(default_factory=list, repr=False)
-    h_final: np.ndarray = None  # type: ignore[assignment]
-    pooled: np.ndarray = None  # type: ignore[assignment]
-    pooled_mask: np.ndarray | None = None
-    pooled_dropped: np.ndarray = None  # type: ignore[assignment]
-    rel_logits: np.ndarray = None  # type: ignore[assignment]
-    rel_log_probs: np.ndarray = None  # type: ignore[assignment]
-    rel_probs: np.ndarray = None  # type: ignore[assignment]
-    ner_logits: np.ndarray | None = None
-    ner_log_probs: np.ndarray | None = None
-    ner_probs: np.ndarray | None = None
+    lstm_left: _LstmCache = field(repr=False)
+    lstm_right: _LstmCache = field(repr=False)
+    h0: np.ndarray
+    grn_caches: list[GrnStepCache] = field(repr=False)
+    h_final: np.ndarray
+    pooled: np.ndarray
+    pooled_mask: np.ndarray | None
+    pooled_dropped: np.ndarray
+    rel_logits: np.ndarray
+    rel_log_probs: np.ndarray
+    rel_probs: np.ndarray
+    ner_logits: np.ndarray | None
+    ner_log_probs: np.ndarray | None
+    ner_probs: np.ndarray | None
 
 
 def forward_instance(
@@ -458,7 +469,10 @@ def forward_instance(
         pooled_mask = (rng.random(pooled.shape) < keep) / keep
         pooled_dropped = pooled * pooled_mask
     rel_logits = params["cls.W"] @ pooled_dropped + params["cls.b"]
-    trace = ForwardTrace(
+    ner_logits = None
+    if config.ner_head:
+        ner_logits = h_final @ params["ner.W"].T + params["ner.b"]
+    return ForwardTrace(
         token_ids=token_ids,
         span1=tuple(span1),
         span2=tuple(span2),
@@ -477,12 +491,10 @@ def forward_instance(
         rel_logits=rel_logits,
         rel_log_probs=log_softmax(rel_logits),
         rel_probs=softmax(rel_logits),
+        ner_logits=ner_logits,
+        ner_log_probs=None if ner_logits is None else log_softmax(ner_logits),
+        ner_probs=None if ner_logits is None else softmax(ner_logits),
     )
-    if config.ner_head:
-        trace.ner_logits = h_final @ params["ner.W"].T + params["ner.b"]
-        trace.ner_log_probs = log_softmax(trace.ner_logits)
-        trace.ner_probs = softmax(trace.ner_logits)
-    return trace
 
 
 def backward(
@@ -526,26 +538,17 @@ def backward(
         dc = np.zeros_like(dh)
         d_label = grads["label_emb"]
         for cache in reversed(trace.grn_caches):
-            tc = np.tanh(cache.cell)
-            d_go = dh * tc
-            dc = dc + dh * cache.gate_out * (1.0 - tc * tc)
-            d_gf = dc * cache.c_prev
-            d_gi = dc * cache.cand
-            d_gu = dc * cache.gate_in
-            dz = {
-                "in": d_gi * cache.gate_in * (1.0 - cache.gate_in),
-                "out": d_go * cache.gate_out * (1.0 - cache.gate_out),
-                "forget": d_gf * cache.gate_forget * (1.0 - cache.gate_forget),
-                "cand": d_gu * (1.0 - cache.cand * cache.cand),
-            }
+            dz, dc = _cell_backward(cache.cell, dh, dc)
             d_m_dep = np.zeros_like(cache.m_dep)
             d_m_head = np.zeros_like(cache.m_head)
             for gate in _GATES:
-                grads[f"grn.Wup_{gate}"] += dz[gate].T @ cache.m_dep
-                grads[f"grn.Wdn_{gate}"] += dz[gate].T @ cache.m_head
-                grads[f"grn.b_{gate}"] += dz[gate].sum(axis=0)
-                d_m_dep += dz[gate] @ params[f"grn.Wup_{gate}"]
-                d_m_head += dz[gate] @ params[f"grn.Wdn_{gate}"]
+                k = _CELL_ORDER.index(gate)
+                dz_gate = dz[:, k * ds : (k + 1) * ds]
+                grads[f"grn.Wup_{gate}"] += dz_gate.T @ cache.m_dep
+                grads[f"grn.Wdn_{gate}"] += dz_gate.T @ cache.m_head
+                grads[f"grn.b_{gate}"] += dz_gate.sum(axis=0)
+                d_m_dep += dz_gate @ params[f"grn.Wup_{gate}"]
+                d_m_head += dz_gate @ params[f"grn.Wdn_{gate}"]
             dh_prev = np.zeros_like(dh)
             for e in trace.graph.edges:
                 w = e.prob if trace.weighted else 1.0
@@ -556,7 +559,6 @@ def backward(
                 dh_prev[e.head - 1] += w * g_head[:ds]
                 d_label[e.rev_row] += w * g_head[ds:]
             dh = dh_prev
-            dc = dc * cache.gate_forget
         d_h0 = dh
     else:
         d_h0 = d_h_final
@@ -649,10 +651,26 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+def _require_names(kind: str, found: Iterable[str], expected: Iterable[str]) -> None:
+    found, expected = set(found), set(expected)
+    missing = sorted(expected - found)
+    if missing:
+        raise ValueError(f"checkpoint lacks {kind} {', '.join(map(repr, missing))}")
+    extra = sorted(found - expected)
+    if extra:
+        raise ValueError(f"checkpoint has unexpected {kind} {', '.join(map(repr, extra))}")
+
+
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    """Parse a checkpoint, checking it against the model its config describes.
+
+    Every config field must be present, and the tensors must be exactly the
+    ones ``init_params`` creates, with the same shapes and finite values.
+    """
     payload = json.loads(blob.decode("utf-8"))
     if payload.get("format") != "forestrel-checkpoint-v1":
         raise ValueError(f"unrecognized checkpoint format {payload.get('format')!r}")
+    _require_names("config field", payload["config"], (f.name for f in fields(ModelConfig)))
     config = ModelConfig(**payload["config"])
     vocab = LabelVocab(
         tuple(payload["vocab"]["dep_labels"]),
@@ -664,12 +682,22 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     actual = vocab_fingerprint(vocab, words)
     if expected is not None and expected != actual:
         raise ValueError("checkpoint vocabulary fingerprint mismatch")
+    specs = _param_specs(config, vocab, len(words))
+    _require_names("tensor", payload["tensors"], specs)
     tensors = {}
     for name, spec in payload["tensors"].items():
         if spec["dtype"] != "float64":
             raise ValueError(f"tensor {name!r} has unsupported dtype {spec['dtype']!r}")
-        raw = base64.b64decode(spec["data"])
-        tensors[name] = np.frombuffer(raw, dtype=np.float64).reshape(spec["shape"]).copy()
+        data = np.frombuffer(base64.b64decode(spec["data"]), dtype=np.float64)
+        shape = specs[name][0]
+        if tuple(spec["shape"]) != shape or data.size != int(np.prod(shape)):
+            raise ValueError(
+                f"tensor {name!r} has shape {list(spec['shape'])} with {data.size} values, "
+                f"expected shape {list(shape)}"
+            )
+        if not np.isfinite(data).all():
+            raise ValueError(f"tensor {name!r} has non-finite values")
+        tensors[name] = data.reshape(shape).copy()
     return Checkpoint(config, payload["structure"], vocab, words, ModelParams(tensors))
 
 
@@ -680,7 +708,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as fh:
-        return checkpoint_from_bytes(fh.read())
+        blob = fh.read()
+    try:
+        return checkpoint_from_bytes(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def build_word_index(words: tuple[str, ...]) -> dict[str, int]:

@@ -323,7 +323,7 @@ def train(
         train_instances, train_forests, vocab, word_index, structure, train_config.use_ner_loss
     )
     dev_enc = _encode_instances(dev_instances, dev_forests, vocab, word_index, structure, False)
-    dev_gold = [vocab.relation_index(inst.relation) for inst in dev_instances]
+    dev_gold = [enc.relation_index for enc in dev_enc]
     none_index = vocab.relation_index(NONE_RELATION)
 
     params = init_params(model_config, vocab, len(words))
@@ -359,7 +359,8 @@ def train(
                 acc[name] *= scale
             adam_step(params, acc, state, train_config)
         train_loss = loss_sum / len(train_enc)
-        report = _evaluate_encoded(params, model_config, dev_enc, dev_gold, none_index, None)
+        dev_pred = [ridx for ridx, _ in _argmax_relations(params, model_config, dev_enc)]
+        report = score_predictions(dev_pred, dev_gold, none_index)
         records.append(
             EpochRecord(epoch, train_loss, report.precision, report.recall, report.f1)
         )
@@ -373,21 +374,19 @@ def train(
     return TrainResult(checkpoint, records, best_epoch, time.perf_counter() - start)
 
 
-def _evaluate_encoded(
-    params: ModelParams,
-    config: ModelConfig,
-    encoded: Sequence[_Encoded],
-    gold_indices: Sequence[int],
-    none_index: int,
-    external_gold_count: int | None,
-) -> EvalReport:
-    predictions = []
+def _argmax_relations(
+    params: ModelParams, config: ModelConfig, encoded: Sequence[_Encoded]
+) -> list[tuple[int, float]]:
+    """Eval-mode forward pass per instance: the most probable relation index
+    and its probability."""
+    out = []
     for enc in encoded:
         trace = forward_instance(
             params, config, enc.token_ids, enc.span1, enc.span2, enc.graph, train=False
         )
-        predictions.append(int(np.argmax(trace.rel_probs)))
-    return score_predictions(predictions, gold_indices, none_index, external_gold_count)
+        ridx = int(np.argmax(trace.rel_probs))
+        out.append((ridx, float(trace.rel_probs[ridx])))
+    return out
 
 
 def score_predictions(
@@ -431,6 +430,17 @@ def score_predictions(
     )
 
 
+def _encode_for_checkpoint(
+    checkpoint: Checkpoint,
+    instances: Sequence[RelationInstance],
+    forests: Sequence[DependencyForest] | None,
+) -> list[_Encoded]:
+    word_index = build_word_index(checkpoint.words)
+    return _encode_instances(
+        instances, forests, checkpoint.vocab, word_index, checkpoint.structure, False
+    )
+
+
 def evaluate(
     checkpoint: Checkpoint,
     instances: Sequence[RelationInstance],
@@ -438,26 +448,16 @@ def evaluate(
     external_gold_count: int | None = None,
 ) -> EvalReport:
     """Score a checkpoint on labeled instances."""
-    word_index = build_word_index(checkpoint.words)
-    encoded = _encode_instances(
-        instances, forests, checkpoint.vocab, word_index, checkpoint.structure, False
-    )
-    gold = [checkpoint.vocab.relation_index(inst.relation) for inst in instances]
-    none_index = checkpoint.vocab.relation_index(NONE_RELATION)
-    predictions = []
-    for enc in encoded:
-        trace = forward_instance(
-            checkpoint.params,
-            checkpoint.config,
-            enc.token_ids,
-            enc.span1,
-            enc.span2,
-            enc.graph,
-            train=False,
-        )
-        predictions.append(int(np.argmax(trace.rel_probs)))
+    encoded = _encode_for_checkpoint(checkpoint, instances, forests)
+    predictions = [
+        ridx for ridx, _ in _argmax_relations(checkpoint.params, checkpoint.config, encoded)
+    ]
     return score_predictions(
-        predictions, gold, none_index, external_gold_count, checkpoint.vocab.relations
+        predictions,
+        [enc.relation_index for enc in encoded],
+        checkpoint.vocab.relation_index(NONE_RELATION),
+        external_gold_count,
+        checkpoint.vocab.relations,
     )
 
 
@@ -467,26 +467,12 @@ def predict(
     forests: Sequence[DependencyForest] | None,
 ) -> list[tuple[str, str, float]]:
     """Per-instance (sentence id, predicted relation, probability)."""
-    word_index = build_word_index(checkpoint.words)
-    encoded = _encode_instances(
-        instances, forests, checkpoint.vocab, word_index, checkpoint.structure, False
-    )
-    out = []
-    for inst, enc in zip(instances, encoded):
-        trace = forward_instance(
-            checkpoint.params,
-            checkpoint.config,
-            enc.token_ids,
-            enc.span1,
-            enc.span2,
-            enc.graph,
-            train=False,
-        )
-        ridx = int(np.argmax(trace.rel_probs))
-        out.append(
-            (inst.sentence.id, checkpoint.vocab.relations[ridx], float(trace.rel_probs[ridx]))
-        )
-    return out
+    encoded = _encode_for_checkpoint(checkpoint, instances, forests)
+    best = _argmax_relations(checkpoint.params, checkpoint.config, encoded)
+    return [
+        (inst.sentence.id, checkpoint.vocab.relations[ridx], prob)
+        for inst, (ridx, prob) in zip(instances, best)
+    ]
 
 
 def format_metric_log(records: Sequence[EpochRecord]) -> str:

@@ -1,0 +1,71 @@
+"""The benchmark's span tracer finds every span a workload expects.
+
+``bench/spans.py`` wraps forestrel's public functions and names each span
+after the module attribute it wrapped.  A renamed, aliased or privatised
+function therefore loses its span, and the traced benchmark run fails; this
+test fails first.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _expected_base_names():
+    workloads = _load_bench_module("workloads")
+    # A span name is "<layer>.<function>" plus optional annotation suffixes
+    # such as ".train" or ".k5.n30-40".
+    return sorted(
+        {
+            ".".join(name.split(".")[:2])
+            for workload in workloads.WORKLOADS.values()
+            for name in workload.expected_spans
+        }
+    )
+
+
+def _recorded_name(tracer, fn):
+    # Binding a keyword the function does not take fails before its body
+    # runs, but after the wrapper has opened the span under its name.
+    assert not any(
+        p.kind is inspect.Parameter.VAR_KEYWORD for p in inspect.signature(fn).parameters.values()
+    ), fn
+    before = len(tracer.spans)
+    with pytest.raises(TypeError):
+        fn(span_probe_keyword=None)
+    assert len(tracer.spans) == before + 1, "call was not traced"
+    return tracer.spans[-1][0]
+
+
+def test_every_expected_span_is_wrapped_under_its_own_name():
+    spans = _load_bench_module("spans")
+    bases = _expected_base_names()
+    assert bases
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for base in bases:
+            layer, attr = base.split(".")
+            module = importlib.import_module(f"forestrel.{layer}")
+            assert hasattr(module, attr), f"{base} no longer exists"
+            assert _recorded_name(tracer, getattr(module, attr)) == base
+    finally:
+        tracer.uninstall()
+    for base in bases:
+        layer, attr = base.split(".")
+        assert not hasattr(getattr(importlib.import_module(f"forestrel.{layer}"), attr), "__wrapped__")

@@ -21,19 +21,6 @@ from forestrel.core import (
 
 
 class TestLabelVocab:
-    def test_reverse_label_is_an_involution(self, vocab5):
-        for label in vocab5.dep_labels:
-            rev = vocab5.reverse_label(label)
-            assert rev == label + "-rev"
-            assert vocab5.reverse_label(rev) == label
-
-    def test_label_rows_partition_forward_then_reversed(self, vocab5):
-        num = vocab5.num_dep_labels
-        fwd_rows = [vocab5.label_row(l) for l in vocab5.dep_labels]
-        rev_rows = [vocab5.label_row(vocab5.reverse_label(l)) for l in vocab5.dep_labels]
-        assert fwd_rows == list(range(num))
-        assert rev_rows == list(range(num, 2 * num))
-
     def test_forward_label_may_not_use_reserved_suffix(self):
         with pytest.raises(ValueError, match="invalid dependency label"):
             LabelVocab(dep_labels=("amod", "obj-rev"), relations=("None",))
@@ -55,10 +42,6 @@ class TestLabelVocab:
             vocab5.relation_index("R-C")
         with pytest.raises(LabelLookupError):
             vocab5.tag_index("B-DISEASE")
-        with pytest.raises(LabelLookupError):
-            vocab5.reverse_label("punct-rev")
-        with pytest.raises(LabelLookupError):
-            vocab5.label_row("punct")
 
 
 class TestArcProbabilities:

@@ -1,6 +1,10 @@
-"""Encoder forward/backward: LSTM oracle, message passing, dropout, checkpoints."""
+"""Encoder forward/backward: LSTM and GRN oracles, message passing, dropout, checkpoints."""
 
+import base64
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from forestrel.encoder import (
     ModelConfig,
     ModelParams,
     _lstm_forward,
+    _sigmoid,
     backward,
     bilstm_forward,
     build_gnn_graph,
@@ -20,11 +25,10 @@ from forestrel.encoder import (
     compute_messages,
     forward_instance,
     grn_forward,
+    grn_step,
     init_params,
     load_checkpoint,
     mention_pool,
-    ner_distributions,
-    relation_distribution,
     save_checkpoint,
     softmax,
     token_ids_for,
@@ -109,7 +113,7 @@ class TestLstmOracle:
             h = go * math.tanh(c)
             expected_c.append(c)
             expected_h.append(h)
-        np.testing.assert_allclose(cache.cell[:, 0], expected_c, rtol=1e-12)
+        np.testing.assert_allclose([cell.c[0] for cell in cache.cells], expected_c, rtol=1e-12)
         np.testing.assert_allclose(cache.hidden[:, 0], expected_h, rtol=1e-12)
 
     def test_reverse_processes_right_to_left(self):
@@ -122,7 +126,68 @@ class TestLstmOracle:
         # position t of the reverse pass equals position n-1-t of the forward
         # pass over the flipped sequence, bit for bit
         assert np.array_equal(rev.hidden, fwd.hidden[::-1])
-        assert np.array_equal(rev.cell, fwd.cell[::-1])
+        assert np.array_equal(
+            [cell.c for cell in rev.cells], [cell.c for cell in fwd.cells[::-1]]
+        )
+
+
+class TestSigmoid:
+    @staticmethod
+    def _two_branch(x):
+        out = np.empty_like(x)
+        pos = x >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        out[~pos] = ex / (1.0 + ex)
+        return out
+
+    def test_bitwise_equal_to_two_branch_formula_without_fp_warnings(self):
+        x = np.array(
+            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf, np.nan]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = _sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), self._two_branch(x).view(np.uint64))
+
+
+class TestGrnOracle:
+    def test_each_gate_reads_its_named_tensors(self, vocab5):
+        # Every gate of one graph update, worked per word and unit with scalar
+        # math against the tensors named after it; moving any gate onto
+        # another gate's tensors changes the result.
+        config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=1, seed=6)
+        params = init_params(config, vocab5, num_words=4)
+        rng = np.random.default_rng(7)
+        n, ds, width = 3, 2, 4
+        for gate in ("in", "out", "forget", "cand"):
+            params[f"grn.b_{gate}"][:] = rng.normal(size=ds)
+        m_dep = rng.normal(size=(n, width))
+        m_head = rng.normal(size=(n, width))
+        c_prev = rng.normal(size=(n, ds))
+        h_new, cache = grn_step(params, rng.normal(size=(n, ds)), c_prev, m_dep, m_head)
+
+        def pre(gate, i, j):
+            up = params[f"grn.Wup_{gate}"]
+            dn = params[f"grn.Wdn_{gate}"]
+            total = params[f"grn.b_{gate}"][j]
+            for k in range(width):
+                total += up[j, k] * m_dep[i, k] + dn[j, k] * m_head[i, k]
+            return total
+
+        expected_c = np.empty((n, ds))
+        expected_h = np.empty((n, ds))
+        for i in range(n):
+            for j in range(ds):
+                gi = _sigma(pre("in", i, j))
+                gf = _sigma(pre("forget", i, j))
+                go = _sigma(pre("out", i, j))
+                gu = math.tanh(pre("cand", i, j))
+                expected_c[i, j] = gf * c_prev[i, j] + gi * gu
+                expected_h[i, j] = go * math.tanh(expected_c[i, j])
+        np.testing.assert_allclose(cache.cell.c, expected_c, rtol=1e-12)
+        np.testing.assert_allclose(h_new, expected_h, rtol=1e-12)
 
 
 class TestBilstm:
@@ -262,24 +327,6 @@ class TestPoolingAndHeads:
         with pytest.raises(ValueError, match="invalid"):
             mention_pool(h, (0, 2))
 
-    def test_relation_distribution_sums_to_one(self, vocab5, tiny_setup):
-        _, params, _, _, _ = tiny_setup
-        rng = np.random.default_rng(4)
-        dist = relation_distribution(params, rng.normal(size=4), rng.normal(size=4))
-        assert dist.shape == (3,)
-        assert dist.sum() == pytest.approx(1.0)
-
-    def test_ner_head_required(self, vocab5, tiny_setup):
-        _, params, _, _, _ = tiny_setup
-        with pytest.raises(ValueError, match="no NER head"):
-            ner_distributions(params, np.zeros((2, 4)))
-
-    def test_ner_rows_are_distributions(self, vocab5):
-        config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, ner_head=True)
-        params = init_params(config, vocab5, num_words=5)
-        dist = ner_distributions(params, np.random.default_rng(5).normal(size=(3, 4)))
-        np.testing.assert_allclose(dist.sum(axis=1), 1.0, rtol=1e-12)
-
 
 class TestForwardBackward:
     def test_textonly_skips_graph(self, vocab5, tiny_setup):
@@ -374,6 +421,63 @@ class TestCheckpoint:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             checkpoint_from_bytes(b'{"format": "something-else"}')
+
+    def _tampered(self, vocab, edit):
+        payload = json.loads(checkpoint_to_bytes(self._checkpoint(vocab)))
+        edit(payload)
+        return json.dumps(payload).encode("utf-8")
+
+    @staticmethod
+    def _tensor_spec(array):
+        return {
+            "shape": list(array.shape),
+            "dtype": "float64",
+            "data": base64.b64encode(np.ascontiguousarray(array).tobytes()).decode("ascii"),
+        }
+
+    def test_missing_tensor_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["tensors"].pop("grn.Wup_in"))
+        with pytest.raises(ValueError, match="lacks tensor 'grn.Wup_in'"):
+            checkpoint_from_bytes(blob)
+
+    def test_extra_tensor_rejected(self, vocab5):
+        def edit(payload):
+            payload["tensors"]["grn.Wup_extra"] = self._tensor_spec(np.zeros((4, 6)))
+
+        with pytest.raises(ValueError, match="unexpected tensor 'grn.Wup_extra'"):
+            checkpoint_from_bytes(self._tampered(vocab5, edit))
+
+    def test_transposed_tensor_rejected(self, vocab5):
+        weights = self._checkpoint(vocab5).params["cls.W"]
+
+        def edit(payload):
+            payload["tensors"]["cls.W"] = self._tensor_spec(weights.T.copy())
+
+        with pytest.raises(ValueError, match=r"tensor 'cls.W' has shape \[8, 3\]"):
+            checkpoint_from_bytes(self._tampered(vocab5, edit))
+
+    def test_non_finite_tensor_rejected(self, vocab5):
+        def edit(payload):
+            payload["tensors"]["cls.b"] = self._tensor_spec(np.array([0.0, np.nan, 0.0]))
+
+        with pytest.raises(ValueError, match="tensor 'cls.b' has non-finite values"):
+            checkpoint_from_bytes(self._tampered(vocab5, edit))
+
+    def test_missing_config_field_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["config"].pop("steps"))
+        with pytest.raises(ValueError, match="lacks config field 'steps'"):
+            checkpoint_from_bytes(blob)
+
+    def test_extra_config_field_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["config"].update(layers=3))
+        with pytest.raises(ValueError, match="unexpected config field 'layers'"):
+            checkpoint_from_bytes(blob)
+
+    def test_load_names_the_file(self, vocab5, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(self._tampered(vocab5, lambda p: p["tensors"].pop("ner.b")))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*'ner.b'"):
+            load_checkpoint(str(path))
 
     def test_structure_and_words_validated(self, vocab5):
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2)
