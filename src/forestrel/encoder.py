@@ -13,12 +13,14 @@ those scalars are constants and receive no gradient.  ROOT-anchored arcs never
 enter the graph.
 
 The sequence LSTMs and the graph update share one gated cell (``_cell`` and
-``_cell_backward``); only the way they form its gate pre-activations differs.
+``_cell_backward``) and one weight layout: a matrix whose row blocks are the
+gates in ``_CELL_ORDER`` plus a bias of the same height.  The graph update's
+``grn.W`` reads a word's message row ``[dependent message | head message]``.
 
 Everything is float64 numpy.  ``backward`` consumes the trace recorded by
-``forward_instance`` and returns exact reverse-mode gradients for every
-parameter tensor; message summation follows the canonical edge order so equal
-inputs reproduce bitwise-equal outputs.
+``forward_instance`` and adds exact reverse-mode gradients for every parameter
+tensor into a caller's buffer; message summation follows the canonical edge
+order so equal inputs reproduce bitwise-equal outputs.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import numpy as np
 from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN
 
 STRUCTURES = ("textonly", "tree", "forest")
+_CHECKPOINT_FORMAT = "forestrel-checkpoint-v2"
 
-# Parameter creation order of the graph update's gates (fixes the RNG draws).
-_GATES = ("in", "out", "forget", "cand")
 # Order of the gate blocks in a gated cell's stacked pre-activations; the
-# LSTM weight rows follow it.
+# rows of the LSTM and graph-update weights follow it.
 _CELL_ORDER = ("in", "forget", "out", "cand")
 
 
@@ -118,10 +119,8 @@ def _param_specs(
         specs[f"lstm_{direction}.Wx"] = ((4 * dr, dw), "glorot")
         specs[f"lstm_{direction}.Wh"] = ((4 * dr, dr), "glorot")
         specs[f"lstm_{direction}.b"] = ((4 * dr,), "zeros")
-    for gate in _GATES:
-        specs[f"grn.Wup_{gate}"] = ((ds, ds + dl), "glorot")
-        specs[f"grn.Wdn_{gate}"] = ((ds, ds + dl), "glorot")
-        specs[f"grn.b_{gate}"] = ((ds,), "zeros")
+    specs["grn.W"] = ((4 * ds, 2 * (ds + dl)), "glorot")
+    specs["grn.b"] = ((4 * ds,), "zeros")
     specs["cls.W"] = ((len(vocab.relations), 2 * ds), "glorot")
     specs["cls.b"] = ((len(vocab.relations),), "zeros")
     if config.ner_head:
@@ -278,12 +277,17 @@ def _lstm_forward(
 
 
 def _lstm_backward(
-    wx: np.ndarray, wh: np.ndarray, cache: _LstmCache, d_hidden: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    prefix: str,
+    cache: _LstmCache,
+    d_hidden: np.ndarray,
+) -> np.ndarray:
+    """Add the weight gradients of LSTM ``prefix`` into ``grads`` and return
+    the gradient of its inputs."""
+    wx, wh = params[f"{prefix}.Wx"], params[f"{prefix}.Wh"]
+    d_wx, d_wh, d_b = (grads[f"{prefix}.{name}"] for name in ("Wx", "Wh", "b"))
     n, dr = cache.hidden.shape
-    d_wx = np.zeros_like(wx)
-    d_wh = np.zeros_like(wh)
-    d_b = np.zeros(4 * dr)
     d_x = np.zeros_like(cache.x)
     dh_carry = np.zeros(dr)
     dc = np.zeros(dr)
@@ -298,7 +302,7 @@ def _lstm_backward(
         d_b += dz
         d_x[t] += dz @ wx
         dh_carry = dz @ wh
-    return d_wx, d_wh, d_b, d_x
+    return d_x
 
 
 def bilstm_forward(
@@ -323,8 +327,9 @@ def compute_messages(
     label_emb: np.ndarray,
     graph: EncoderGraph,
     weighted: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-word sums of incoming messages from dependents and from heads.
+) -> np.ndarray:
+    """Per-word sums of incoming messages, one row per word:
+    ``[dependent message | head message]``.
 
     A word's dependent message stacks the dependent's state with the arc
     label's embedding; its head message stacks the head's state with the
@@ -332,44 +337,30 @@ def compute_messages(
     sums are bitwise reproducible.
     """
     n, ds = h_states.shape
-    dl = label_emb.shape[1]
-    m_dep = np.zeros((n, ds + dl))
-    m_head = np.zeros((n, ds + dl))
+    half = ds + label_emb.shape[1]
+    m = np.zeros((n, 2 * half))
+    dep, head = m[:, :half], m[:, half:]
     for e in graph.edges:
         w = e.prob if weighted else 1.0
-        m_dep[e.head - 1, :ds] += w * h_states[e.modifier - 1]
-        m_dep[e.head - 1, ds:] += w * label_emb[e.fwd_row]
-        m_head[e.modifier - 1, :ds] += w * h_states[e.head - 1]
-        m_head[e.modifier - 1, ds:] += w * label_emb[e.rev_row]
-    return m_dep, m_head
+        dep[e.head - 1, :ds] += w * h_states[e.modifier - 1]
+        dep[e.head - 1, ds:] += w * label_emb[e.fwd_row]
+        head[e.modifier - 1, :ds] += w * h_states[e.head - 1]
+        head[e.modifier - 1, ds:] += w * label_emb[e.rev_row]
+    return m
 
 
 @dataclass
 class GrnStepCache:
-    m_dep: np.ndarray
-    m_head: np.ndarray
+    m: np.ndarray
     cell: _CellCache
 
 
 def grn_step(
-    params: ModelParams,
-    h_prev: np.ndarray,
-    c_prev: np.ndarray,
-    m_dep: np.ndarray,
-    m_head: np.ndarray,
+    params: ModelParams, c_prev: np.ndarray, m: np.ndarray
 ) -> tuple[np.ndarray, GrnStepCache]:
     """One gated update of all word states from their summed messages."""
-    z = np.concatenate(
-        [
-            m_dep @ params[f"grn.Wup_{gate}"].T
-            + m_head @ params[f"grn.Wdn_{gate}"].T
-            + params[f"grn.b_{gate}"]
-            for gate in _CELL_ORDER
-        ],
-        axis=1,
-    )
-    h_new, cell = _cell(z, c_prev)
-    return h_new, GrnStepCache(m_dep, m_head, cell)
+    h_new, cell = _cell(m @ params["grn.W"].T + params["grn.b"], c_prev)
+    return h_new, GrnStepCache(m, cell)
 
 
 def grn_forward(
@@ -387,8 +378,8 @@ def grn_forward(
     c = np.zeros_like(h0)
     caches: list[GrnStepCache] = []
     for _ in range(steps):
-        m_dep, m_head = compute_messages(h, params["label_emb"], graph, weighted)
-        h, cache = grn_step(params, h, c, m_dep, m_head)
+        m = compute_messages(h, params["label_emb"], graph, weighted)
+        h, cache = grn_step(params, c, m)
         c = cache.cell.c
         caches.append(cache)
     return h, caches
@@ -501,15 +492,16 @@ def backward(
     params: ModelParams,
     config: ModelConfig,
     trace: ForwardTrace,
+    grads: dict[str, np.ndarray],
     d_rel_logits: np.ndarray,
     d_ner_logits: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Exact gradients of every parameter given loss seeds on the head logits.
+) -> None:
+    """Add the exact gradients of every parameter, given loss seeds on the
+    head logits, into ``grads`` (one array per parameter, e.g. a batch sum).
 
-    Zero seeds produce all-zero gradients.  Arc probabilities used as message
-    weights are constants and never receive a gradient.
+    Zero seeds add nothing.  Arc probabilities used as message weights are
+    constants and never receive a gradient.
     """
-    grads = params.zero_grads()
     ds = config.dim_state
     dr = config.dim_hidden
 
@@ -533,53 +525,37 @@ def backward(
         grads["ner.b"] += d_ner_logits.sum(axis=0)
         d_h_final = d_h_final + d_ner_logits @ params["ner.W"]
 
+    dh = d_h_final
     if trace.graph is not None and trace.grn_caches:
-        dh = d_h_final
+        w_grn = params["grn.W"]
+        half = w_grn.shape[1] // 2
         dc = np.zeros_like(dh)
         d_label = grads["label_emb"]
-        for cache in reversed(trace.grn_caches):
+        caches = trace.grn_caches[::-1]
+        dzs = []
+        for cache in caches:
             dz, dc = _cell_backward(cache.cell, dh, dc)
-            d_m_dep = np.zeros_like(cache.m_dep)
-            d_m_head = np.zeros_like(cache.m_head)
-            for gate in _GATES:
-                k = _CELL_ORDER.index(gate)
-                dz_gate = dz[:, k * ds : (k + 1) * ds]
-                grads[f"grn.Wup_{gate}"] += dz_gate.T @ cache.m_dep
-                grads[f"grn.Wdn_{gate}"] += dz_gate.T @ cache.m_head
-                grads[f"grn.b_{gate}"] += dz_gate.sum(axis=0)
-                d_m_dep += dz_gate @ params[f"grn.Wup_{gate}"]
-                d_m_head += dz_gate @ params[f"grn.Wdn_{gate}"]
-            dh_prev = np.zeros_like(dh)
+            dzs.append(dz)
+            d_m = dz @ w_grn
+            d_dep, d_head = d_m[:, :half], d_m[:, half:]
+            dh = np.zeros_like(dh)
             for e in trace.graph.edges:
                 w = e.prob if trace.weighted else 1.0
-                g_dep = d_m_dep[e.head - 1]
-                dh_prev[e.modifier - 1] += w * g_dep[:ds]
+                g_dep = d_dep[e.head - 1]
+                dh[e.modifier - 1] += w * g_dep[:ds]
                 d_label[e.fwd_row] += w * g_dep[ds:]
-                g_head = d_m_head[e.modifier - 1]
-                dh_prev[e.head - 1] += w * g_head[:ds]
+                g_head = d_head[e.modifier - 1]
+                dh[e.head - 1] += w * g_head[:ds]
                 d_label[e.rev_row] += w * g_head[ds:]
-            dh = dh_prev
-        d_h0 = dh
-    else:
-        d_h0 = d_h_final
+        dz_all = np.concatenate(dzs)
+        grads["grn.W"] += dz_all.T @ np.concatenate([cache.m for cache in caches])
+        grads["grn.b"] += dz_all.sum(axis=0)
 
-    d_wx_l, d_wh_l, d_b_l, d_emb_l = _lstm_backward(
-        params["lstm_l.Wx"], params["lstm_l.Wh"], trace.lstm_left, d_h0[:, :dr]
-    )
-    d_wx_r, d_wh_r, d_b_r, d_emb_r = _lstm_backward(
-        params["lstm_r.Wx"], params["lstm_r.Wh"], trace.lstm_right, d_h0[:, dr:]
-    )
-    grads["lstm_l.Wx"] += d_wx_l
-    grads["lstm_l.Wh"] += d_wh_l
-    grads["lstm_l.b"] += d_b_l
-    grads["lstm_r.Wx"] += d_wx_r
-    grads["lstm_r.Wh"] += d_wh_r
-    grads["lstm_r.b"] += d_b_r
-    d_emb = d_emb_l + d_emb_r
+    d_emb = _lstm_backward(params, grads, "lstm_l", trace.lstm_left, dh[:, :dr])
+    d_emb += _lstm_backward(params, grads, "lstm_r", trace.lstm_right, dh[:, dr:])
     if trace.emb_mask is not None:
         d_emb = d_emb * trace.emb_mask
     np.add.at(grads["word_emb"], trace.token_ids, d_emb)
-    return grads
 
 
 # --------------------------------------------------------------------------
@@ -627,7 +603,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
             "data": base64.b64encode(np.ascontiguousarray(tensor, dtype=np.float64).tobytes()).decode("ascii"),
         }
     payload = {
-        "format": "forestrel-checkpoint-v1",
+        "format": _CHECKPOINT_FORMAT,
         "config": {
             "dim_word": ckpt.config.dim_word,
             "dim_label": ckpt.config.dim_label,
@@ -651,25 +627,38 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     return (json.dumps(payload, sort_keys=True, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _require_names(kind: str, found: Iterable[str], expected: Iterable[str]) -> None:
+def _require_names(
+    kind: str, found: object, expected: Iterable[str], exact: bool = True
+) -> None:
+    """Check the keys of the JSON object ``found``."""
+    if not isinstance(found, dict):
+        raise ValueError(f"checkpoint {kind}s are not a JSON object")
     found, expected = set(found), set(expected)
     missing = sorted(expected - found)
     if missing:
         raise ValueError(f"checkpoint lacks {kind} {', '.join(map(repr, missing))}")
     extra = sorted(found - expected)
-    if extra:
+    if exact and extra:
         raise ValueError(f"checkpoint has unexpected {kind} {', '.join(map(repr, extra))}")
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     """Parse a checkpoint, checking it against the model its config describes.
 
-    Every config field must be present, and the tensors must be exactly the
-    ones ``init_params`` creates, with the same shapes and finite values.
+    Every key the format defines must be present, every config field too, and
+    the tensors must be exactly the ones ``init_params`` creates, with the same
+    shapes and finite values.
     """
     payload = json.loads(blob.decode("utf-8"))
-    if payload.get("format") != "forestrel-checkpoint-v1":
-        raise ValueError(f"unrecognized checkpoint format {payload.get('format')!r}")
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found != _CHECKPOINT_FORMAT:
+        raise ValueError(
+            f"unrecognized checkpoint format {found!r}, expected {_CHECKPOINT_FORMAT!r}"
+        )
+    keys = ("config", "structure", "vocab", "words", "tensors")
+    _require_names("key", payload, keys, exact=False)
+    lists = ("dep_labels", "relations", "ne_tags")
+    _require_names("vocab list", payload["vocab"], lists, exact=False)
     _require_names("config field", payload["config"], (f.name for f in fields(ModelConfig)))
     config = ModelConfig(**payload["config"])
     vocab = LabelVocab(
@@ -686,6 +675,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     _require_names("tensor", payload["tensors"], specs)
     tensors = {}
     for name, spec in payload["tensors"].items():
+        _require_names(f"tensor {name!r} key", spec, ("shape", "dtype", "data"), exact=False)
         if spec["dtype"] != "float64":
             raise ValueError(f"tensor {name!r} has unsupported dtype {spec['dtype']!r}")
         data = np.frombuffer(base64.b64decode(spec["data"]), dtype=np.float64)

@@ -103,24 +103,34 @@ def adam_step(
     state: OptimizerState,
     config: TrainConfig,
 ) -> None:
-    """Apply one Adam update in place (bias-corrected moments)."""
+    """Apply one Adam update in place (bias-corrected moments).
+
+    The update is ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``, evaluated in
+    that order into two scratch arrays per tensor, so it needs no other
+    full-size temporaries.
+    """
     state.step += 1
     t = state.step
     for name, theta in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise OptimizationError(f"non-finite gradient for parameter {name!r}")
+        a = np.empty_like(theta)
+        b = np.empty_like(theta)
         if config.l2 > 0.0 and _l2_applies(name, theta):
-            g = g + 2.0 * config.l2 * theta
+            g = np.add(g, np.multiply(theta, 2.0 * config.l2, out=a), out=a)
         m = state.first[name]
         v = state.second[name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=b)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        theta -= config.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += np.multiply(np.multiply(g, g, out=b), 1.0 - state.beta2, out=b)
+        np.sqrt(np.divide(v, 1.0 - state.beta2**t, out=b), out=b)
+        b += state.eps  # sqrt(v_hat) + eps
+        np.divide(m, 1.0 - state.beta1**t, out=a)
+        a *= config.learning_rate  # lr * m_hat
+        a /= b
+        theta -= a
 
 
 def relation_loss(rel_logits: np.ndarray, gold_index: int) -> float:
@@ -265,14 +275,16 @@ def _encode_instances(
     return encoded
 
 
-def _instance_loss_and_grads(
+def _instance_loss(
     params: ModelParams,
     config: ModelConfig,
     enc: _Encoded,
     use_ner: bool,
+    grads: dict[str, np.ndarray],
     train: bool,
     rng: np.random.Generator | None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> float:
+    """The instance's loss; its gradients are added into ``grads``."""
     trace = forward_instance(
         params, config, enc.token_ids, enc.span1, enc.span2, enc.graph, train=train, rng=rng
     )
@@ -283,9 +295,8 @@ def _instance_loss_and_grads(
     if use_ner:
         l_ner = ner_loss(trace.ner_logits, enc.tag_indices)
         d_ner = ner_loss_grad(trace.ner_logits, enc.tag_indices)
-    loss = total_loss(l_rel, l_ner, use_ner)
-    grads = backward(params, config, trace, d_rel, d_ner)
-    return loss, grads
+    backward(params, config, trace, grads, d_rel, d_ner)
+    return total_loss(l_rel, l_ner, use_ner)
 
 
 def _build_words(instances: Sequence[RelationInstance]) -> tuple[str, ...]:
@@ -343,17 +354,15 @@ def train(
             batch = order[lo : lo + train_config.batch_size]
             acc = params.zero_grads()
             for idx in batch:
-                loss, grads = _instance_loss_and_grads(
+                loss_sum += _instance_loss(
                     params,
                     model_config,
                     train_enc[idx],
                     train_config.use_ner_loss,
+                    acc,
                     train=True,
                     rng=dropout_rng,
                 )
-                loss_sum += loss
-                for name in acc:
-                    acc[name] += grads[name]
             scale = 1.0 / len(batch)
             for name in acc:
                 acc[name] *= scale
@@ -562,9 +571,8 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]
                     )
                     return total_loss(l_rel, l_ner, use_ner)
 
-                _, grads = _instance_loss_and_grads(
-                    params, config, enc, use_ner, train=False, rng=None
-                )
+                grads = params.zero_grads()
+                _instance_loss(params, config, enc, use_ner, grads, train=False, rng=None)
                 worst = 0.0
                 for name, tensor in params.items():
                     flat = tensor.reshape(-1)

@@ -112,6 +112,18 @@ class TestArcFile:
         assert loaded == data.arc_probs
         save_arc_probs(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+        # one row written from the README's description of the format
+        label = data.vocab.dep_labels[0]
+        row = json.dumps(
+            {"arcs": [[1, 0, label, 0.75], [2, 1, label, 0.5]], "id": "readme", "n": 2},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        first.write_text(row + "\n", encoding="utf-8")
+        loaded = load_arc_probs(first, data.vocab)
+        assert list(loaded["readme"].iter_entries()) == [(1, 0, label, 0.75), (2, 1, label, 0.5)]
+        save_arc_probs(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_duplicate_id_rejected(self, vocab5, tmp_path):
         record = json.dumps({"id": "s0", "n": 1, "arcs": [[1, 0, "amod", 0.5]]})

@@ -14,6 +14,7 @@ from forestrel.encoder import (
     Checkpoint,
     ModelConfig,
     ModelParams,
+    _CELL_ORDER,
     _lstm_forward,
     _sigmoid,
     backward,
@@ -69,14 +70,15 @@ class TestInitParams:
         names = set(params.names())
         assert "word_emb" in names and "label_emb" in names
         assert {"lstm_l.Wx", "lstm_l.Wh", "lstm_l.b", "lstm_r.Wx", "lstm_r.Wh", "lstm_r.b"} <= names
-        for gate in ("in", "out", "forget", "cand"):
-            assert {f"grn.Wup_{gate}", f"grn.Wdn_{gate}", f"grn.b_{gate}"} <= names
+        assert {"grn.W", "grn.b"} <= names
         assert "cls.W" in names and "cls.b" in names
         assert "ner.W" not in names
         assert params["word_emb"].shape == (7, 3)
         assert params["label_emb"].shape == (2 * vocab5.num_dep_labels, 2)
         assert params["lstm_l.Wx"].shape == (8, 3)
-        assert params["grn.Wup_in"].shape == (4, 6)  # dim_state x (dim_state + dim_label)
+        # 4 * dim_state x 2 * (dim_state + dim_label)
+        assert params["grn.W"].shape == (16, 12)
+        assert params["grn.b"].shape == (16,)
         assert params["cls.W"].shape == (len(vocab5.relations), 8)
 
     def test_ner_head_adds_tensors(self, vocab5):
@@ -153,27 +155,33 @@ class TestSigmoid:
 
 
 class TestGrnOracle:
+    # Row block of each gate in grn.W and grn.b, written out rather than
+    # taken from the module so that a reordering shows up here.
+    BLOCK = {"in": 0, "forget": 1, "out": 2, "cand": 3}
+
     def test_each_gate_reads_its_named_tensors(self, vocab5):
         # Every gate of one graph update, worked per word and unit with scalar
-        # math against the tensors named after it; moving any gate onto
-        # another gate's tensors changes the result.
+        # math: gate g's pre-activation reads row block g of grn.W and grn.b,
+        # the first column half against the dependent message and the second
+        # against the head message.  Moving a gate onto another block, or the
+        # messages onto the other half, changes the result.
+        assert tuple(self.BLOCK) == _CELL_ORDER
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=1, seed=6)
         params = init_params(config, vocab5, num_words=4)
         rng = np.random.default_rng(7)
-        n, ds, width = 3, 2, 4
-        for gate in ("in", "out", "forget", "cand"):
-            params[f"grn.b_{gate}"][:] = rng.normal(size=ds)
-        m_dep = rng.normal(size=(n, width))
-        m_head = rng.normal(size=(n, width))
+        n, ds, half = 3, 2, 4
+        params["grn.b"][:] = rng.normal(size=4 * ds)
+        m_dep = rng.normal(size=(n, half))
+        m_head = rng.normal(size=(n, half))
         c_prev = rng.normal(size=(n, ds))
-        h_new, cache = grn_step(params, rng.normal(size=(n, ds)), c_prev, m_dep, m_head)
+        h_new, cache = grn_step(params, c_prev, np.concatenate([m_dep, m_head], axis=1))
+        w, b = params["grn.W"], params["grn.b"]
 
         def pre(gate, i, j):
-            up = params[f"grn.Wup_{gate}"]
-            dn = params[f"grn.Wdn_{gate}"]
-            total = params[f"grn.b_{gate}"][j]
-            for k in range(width):
-                total += up[j, k] * m_dep[i, k] + dn[j, k] * m_head[i, k]
+            row = self.BLOCK[gate] * ds + j
+            total = b[row]
+            for k in range(half):
+                total += w[row, k] * m_dep[i, k] + w[row, half + k] * m_head[i, k]
             return total
 
         expected_c = np.empty((n, ds))
@@ -231,7 +239,9 @@ class TestMessages:
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 4))
         label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 2))
-        m_dep, m_head = compute_messages(h, label_emb, graph, weighted=False)
+        m = compute_messages(h, label_emb, graph, weighted=False)
+        assert m.shape == (3, 12)
+        m_dep, m_head = m[:, :6], m[:, 6:]
         obj = vocab5.dep_index("obj")
         # the head (word 2) hears from its dependent (word 3) under "obj"
         assert np.array_equal(m_dep[1, :4], h[2])
@@ -250,8 +260,8 @@ class TestMessages:
         graph = build_gnn_graph(forest, vocab5)
         h = np.ones((3, 4))
         label_emb = np.ones((2 * vocab5.num_dep_labels, 2))
-        m_dep, m_head = compute_messages(h, label_emb, graph, weighted=True)
-        assert not m_dep.any() and not m_head.any()
+        m = compute_messages(h, label_emb, graph, weighted=True)
+        assert not m.any()
 
     def test_weight_scales_messages(self, vocab5):
         forest = DependencyForest.from_edges(
@@ -261,10 +271,9 @@ class TestMessages:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 2))
-        plain_dep, plain_head = compute_messages(h, label_emb, graph, weighted=False)
-        scaled_dep, scaled_head = compute_messages(h, label_emb, graph, weighted=True)
-        assert np.array_equal(scaled_dep, 0.5 * plain_dep)
-        assert np.array_equal(scaled_head, 0.5 * plain_head)
+        plain = compute_messages(h, label_emb, graph, weighted=False)
+        scaled = compute_messages(h, label_emb, graph, weighted=True)
+        assert np.array_equal(scaled, 0.5 * plain)
 
     def test_unit_probabilities_match_unweighted_bitwise(self, vocab5, tiny_setup):
         config, params, forest, _, token_ids = tiny_setup
@@ -353,9 +362,30 @@ class TestForwardBackward:
     def test_zero_seed_gives_zero_gradients(self, vocab5, tiny_setup):
         config, params, _, graph, token_ids = tiny_setup
         trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
-        grads = backward(params, config, trace, np.zeros(3))
+        grads = params.zero_grads()
+        backward(params, config, trace, grads, np.zeros(3))
         for name, g in grads.items():
             assert not g.any(), name
+
+    def test_backward_adds_into_the_buffer(self, vocab5, tiny_setup):
+        config, params, _, graph, token_ids = tiny_setup
+        trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
+        d_rel = softmax(trace.rel_logits)
+        d_rel[0] -= 1.0
+        fresh = params.zero_grads()
+        backward(params, config, trace, fresh, d_rel)
+        rng = np.random.default_rng(5)
+        start = {name: rng.normal(size=t.shape) for name, t in params.items()}
+        buffer = {name: g.copy() for name, g in start.items()}
+        backward(params, config, trace, buffer, d_rel)
+        for name in params.names():
+            np.testing.assert_allclose(
+                buffer[name], start[name] + fresh[name], rtol=1e-12, atol=1e-15, err_msg=name
+            )
+        before = {name: g.tobytes() for name, g in buffer.items()}
+        backward(params, config, trace, buffer, np.zeros(3))
+        for name in params.names():
+            assert buffer[name].tobytes() == before[name], name
 
     @pytest.mark.parametrize("structure", ["textonly", "forest"])
     def test_finite_difference_spot_check(self, vocab5, tiny_setup, structure):
@@ -371,12 +401,13 @@ class TestForwardBackward:
         trace = forward_instance(params, config, token_ids, *spans, graph)
         d_rel = softmax(trace.rel_logits)
         d_rel[gold] -= 1.0
-        grads = backward(params, config, trace, d_rel)
+        grads = params.zero_grads()
+        backward(params, config, trace, grads, d_rel)
 
         rng = np.random.default_rng(8)
         step = 1e-6
         for name in ("word_emb", "label_emb", "lstm_l.Wx", "lstm_r.Wh",
-                     "grn.Wup_in", "grn.Wdn_cand", "grn.b_forget", "cls.W"):
+                     "grn.W", "grn.b", "cls.W"):
             flat = params[name].reshape(-1)
             for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[idx]
@@ -422,6 +453,14 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="unrecognized checkpoint format"):
             checkpoint_from_bytes(b'{"format": "something-else"}')
 
+    def test_v1_checkpoint_rejected(self, vocab5):
+        # v1 stored the graph update as twelve per-gate tensors
+        blob = self._tampered(vocab5, lambda p: p.update(format="forestrel-checkpoint-v1"))
+        with pytest.raises(
+            ValueError, match="unrecognized checkpoint format 'forestrel-checkpoint-v1'"
+        ):
+            checkpoint_from_bytes(blob)
+
     def _tampered(self, vocab, edit):
         payload = json.loads(checkpoint_to_bytes(self._checkpoint(vocab)))
         edit(payload)
@@ -436,8 +475,28 @@ class TestCheckpoint:
         }
 
     def test_missing_tensor_rejected(self, vocab5):
-        blob = self._tampered(vocab5, lambda p: p["tensors"].pop("grn.Wup_in"))
-        with pytest.raises(ValueError, match="lacks tensor 'grn.Wup_in'"):
+        blob = self._tampered(vocab5, lambda p: p["tensors"].pop("grn.W"))
+        with pytest.raises(ValueError, match="lacks tensor 'grn.W'"):
+            checkpoint_from_bytes(blob)
+
+    def test_missing_top_level_key_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p.pop("words"))
+        with pytest.raises(ValueError, match="lacks key 'words'"):
+            checkpoint_from_bytes(blob)
+
+    def test_missing_vocab_list_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["vocab"].pop("relations"))
+        with pytest.raises(ValueError, match="lacks vocab list 'relations'"):
+            checkpoint_from_bytes(blob)
+
+    def test_vocab_that_is_not_an_object_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p.update(vocab=["dep_labels", "relations"]))
+        with pytest.raises(ValueError, match="vocab lists are not a JSON object"):
+            checkpoint_from_bytes(blob)
+
+    def test_missing_tensor_key_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["tensors"]["cls.W"].pop("data"))
+        with pytest.raises(ValueError, match="lacks tensor 'cls.W' key 'data'"):
             checkpoint_from_bytes(blob)
 
     def test_extra_tensor_rejected(self, vocab5):

@@ -112,6 +112,40 @@ class TestAdam:
         assert np.array_equal(params["cls.b"], np.ones(2))
         assert np.array_equal(params["word_emb"], np.ones((3, 2)))
 
+    def test_bitwise_equal_to_textbook_update(self):
+        # The textbook expressions, temporaries and all; adam_step must give
+        # the same bits on weight matrices (with L2), biases and embeddings.
+        config = TrainConfig(learning_rate=0.01, l2=0.05)
+        rng = np.random.default_rng(3)
+        start = {
+            "cls.W": rng.normal(size=(3, 4)),
+            "cls.b": rng.normal(size=4),
+            "word_emb": rng.normal(size=(5, 2)),
+        }
+        params = ModelParams({name: t.copy() for name, t in start.items()})
+        state = OptimizerState.for_params(params)
+        theta = {name: t.copy() for name, t in start.items()}
+        first = {name: np.zeros_like(t) for name, t in start.items()}
+        second = {name: np.zeros_like(t) for name, t in start.items()}
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 6):
+            grads = {
+                name: rng.choice([-1.0, 1.0], size=x.shape) * 10.0 ** rng.uniform(-8, 2, x.shape)
+                for name, x in start.items()
+            }
+            adam_step(params, grads, state, config)
+            for name in start:
+                g = grads[name]
+                if name == "cls.W":
+                    g = g + 2.0 * config.l2 * theta[name]
+                first[name] = b1 * first[name] + (1.0 - b1) * g
+                second[name] = b2 * second[name] + (1.0 - b2) * (g * g)
+                m_hat = first[name] / (1.0 - b1**t)
+                v_hat = second[name] / (1.0 - b2**t)
+                theta[name] = theta[name] - config.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+                got, want = params[name].view(np.uint64), theta[name].view(np.uint64)
+                assert np.array_equal(got, want), (name, t)
+
     def test_non_finite_gradient_is_fatal(self):
         params = ModelParams({"w": np.ones((2, 2))})
         state = OptimizerState.for_params(params)
