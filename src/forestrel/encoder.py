@@ -10,7 +10,9 @@ dependents (child state + label embedding) and from its heads (head state +
 reversed-label embedding), then applies an LSTM-style gated cell update.  When
 confidence weighting is on, each message is scaled by the arc's probability;
 those scalars are constants and receive no gradient.  ROOT-anchored arcs never
-enter the graph.
+enter the graph.  The sums are products with a weighted head x dependent
+adjacency matrix and two label-count matrices, and their gradients are the
+transposed products.
 
 The sequence LSTMs and the graph update share one gated cell (``_cell`` and
 ``_cell_backward``) and one weight layout: a matrix whose row blocks are the
@@ -19,8 +21,8 @@ gates in ``_CELL_ORDER`` plus a bias of the same height.  The graph update's
 
 Everything is float64 numpy.  ``backward`` consumes the trace recorded by
 ``forward_instance`` and adds exact reverse-mode gradients for every parameter
-tensor into a caller's buffer; message summation follows the canonical edge
-order so equal inputs reproduce bitwise-equal outputs.
+tensor into a caller's buffer.  Every sum is a fixed sequence of numpy
+products, so equal inputs reproduce bitwise-equal outputs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import base64
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -150,35 +152,50 @@ def init_params(
     return ModelParams(tensors)
 
 
-class GraphEdge(NamedTuple):
-    """A word-to-word arc prepared for message passing."""
-
-    head: int
-    modifier: int
-    fwd_row: int
-    rev_row: int
-    prob: float
-
-
 @dataclass(frozen=True)
 class EncoderGraph:
+    """The word-to-word arcs of a forest, prepared for message passing.
+
+    ``edges`` holds one ``(head, modifier, label index)`` row per arc not
+    anchored at ROOT, in the forest's canonical order, and ``probs`` the arc
+    probabilities in the same order.
+    """
+
     n: int
-    edges: tuple[GraphEdge, ...]
+    edges: np.ndarray
+    probs: np.ndarray
 
 
 def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph:
-    """Drop ROOT-anchored arcs and resolve label embedding rows.
+    """Drop ROOT-anchored arcs and resolve label indices."""
+    arcs = [e for e in forest.edges if e.head != 0]
+    edges = np.array(
+        [(e.head, e.modifier, vocab.dep_index(e.label)) for e in arcs], dtype=np.int64
+    ).reshape(-1, 3)
+    return EncoderGraph(forest.n, edges, np.array([e.prob for e in arcs], dtype=np.float64))
 
-    Forest edges are already deduplicated and canonically ordered, which fixes
-    the message summation order.
+
+def _graph_operators(
+    graph: EncoderGraph, weighted: bool, num_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the arc weights (probabilities, or 1.0 when unweighted) into the
+    ``(n, n)`` head x dependent adjacency and two ``(n, 2 * num_labels)``
+    tables: each head's label counts and each dependent's reversed-label
+    counts, label ``l`` reversed in column ``num_labels + l`` as in ``label_emb``.
     """
-    num = vocab.num_dep_labels
-    edges = tuple(
-        GraphEdge(e.head, e.modifier, vocab.dep_index(e.label), num + vocab.dep_index(e.label), e.prob)
-        for e in forest.edges
-        if e.head != 0
+    n, width = graph.n, 2 * num_labels
+    heads, mods, labels = graph.edges.T
+    h, m = heads - 1, mods - 1  # state rows
+    w = graph.probs if weighted else np.ones(len(graph.probs))
+
+    def summed(index: np.ndarray, cols: int) -> np.ndarray:
+        return np.bincount(index, weights=w, minlength=n * cols).reshape(n, cols)
+
+    return (
+        summed(h * n + m, n),
+        summed(h * width + labels, width),
+        summed(m * width + num_labels + labels, width),
     )
-    return EncoderGraph(forest.n, edges)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -286,23 +303,20 @@ def _lstm_backward(
     """Add the weight gradients of LSTM ``prefix`` into ``grads`` and return
     the gradient of its inputs."""
     wx, wh = params[f"{prefix}.Wx"], params[f"{prefix}.Wh"]
-    d_wx, d_wh, d_b = (grads[f"{prefix}.{name}"] for name in ("Wx", "Wh", "b"))
     n, dr = cache.hidden.shape
-    d_x = np.zeros_like(cache.x)
+    dzs = np.empty((n, 4 * dr))
     dh_carry = np.zeros(dr)
     dc = np.zeros(dr)
-    zeros = np.zeros(dr)
-    prev_offset = 1 if cache.reverse else -1
     for t in range(n) if cache.reverse else range(n - 1, -1, -1):
-        prev = t + prev_offset
-        h_prev = cache.hidden[prev] if 0 <= prev < n else zeros
-        dz, dc = _cell_backward(cache.cells[t], d_hidden[t] + dh_carry, dc)
-        d_wx += np.outer(dz, cache.x[t])
-        d_wh += np.outer(dz, h_prev)
-        d_b += dz
-        d_x[t] += dz @ wx
-        dh_carry = dz @ wh
-    return d_x
+        dzs[t], dc = _cell_backward(cache.cells[t], d_hidden[t] + dh_carry, dc)
+        dh_carry = dzs[t] @ wh
+    # Row t: the hidden state step t read (zeros for the first step).
+    padded = np.pad(cache.hidden, ((1, 1), (0, 0)))
+    h_prev = padded[2:] if cache.reverse else padded[:-2]
+    grads[f"{prefix}.Wx"] += dzs.T @ cache.x
+    grads[f"{prefix}.Wh"] += dzs.T @ h_prev
+    grads[f"{prefix}.b"] += dzs.sum(axis=0)
+    return dzs @ wx
 
 
 def bilstm_forward(
@@ -333,20 +347,15 @@ def compute_messages(
 
     A word's dependent message stacks the dependent's state with the arc
     label's embedding; its head message stacks the head's state with the
-    reversed label's embedding.  Edges are visited in canonical order, so the
-    sums are bitwise reproducible.
+    reversed label's embedding.  Both are products with the weighted
+    adjacency and label-count matrices of ``_graph_operators``, a fixed
+    computation for a given graph, so the sums are bitwise reproducible.
     """
-    n, ds = h_states.shape
-    half = ds + label_emb.shape[1]
-    m = np.zeros((n, 2 * half))
-    dep, head = m[:, :half], m[:, half:]
-    for e in graph.edges:
-        w = e.prob if weighted else 1.0
-        dep[e.head - 1, :ds] += w * h_states[e.modifier - 1]
-        dep[e.head - 1, ds:] += w * label_emb[e.fwd_row]
-        head[e.modifier - 1, :ds] += w * h_states[e.head - 1]
-        head[e.modifier - 1, ds:] += w * label_emb[e.rev_row]
-    return m
+    adj, dep_labels, head_labels = _graph_operators(graph, weighted, label_emb.shape[0] // 2)
+    return np.concatenate(
+        [adj @ h_states, dep_labels @ label_emb, adj.T @ h_states, head_labels @ label_emb],
+        axis=1,
+    )
 
 
 @dataclass
@@ -531,6 +540,9 @@ def backward(
         half = w_grn.shape[1] // 2
         dc = np.zeros_like(dh)
         d_label = grads["label_emb"]
+        adj, dep_labels, head_labels = _graph_operators(
+            trace.graph, trace.weighted, d_label.shape[0] // 2
+        )
         caches = trace.grn_caches[::-1]
         dzs = []
         for cache in caches:
@@ -538,15 +550,8 @@ def backward(
             dzs.append(dz)
             d_m = dz @ w_grn
             d_dep, d_head = d_m[:, :half], d_m[:, half:]
-            dh = np.zeros_like(dh)
-            for e in trace.graph.edges:
-                w = e.prob if trace.weighted else 1.0
-                g_dep = d_dep[e.head - 1]
-                dh[e.modifier - 1] += w * g_dep[:ds]
-                d_label[e.fwd_row] += w * g_dep[ds:]
-                g_head = d_head[e.modifier - 1]
-                dh[e.head - 1] += w * g_head[:ds]
-                d_label[e.rev_row] += w * g_head[ds:]
+            dh = adj.T @ d_dep[:, :ds] + adj @ d_head[:, :ds]
+            d_label += dep_labels.T @ d_dep[:, ds:] + head_labels.T @ d_head[:, ds:]
         dz_all = np.concatenate(dzs)
         grads["grn.W"] += dz_all.T @ np.concatenate([cache.m for cache in caches])
         grads["grn.b"] += dz_all.sum(axis=0)
@@ -642,12 +647,21 @@ def _require_names(
         raise ValueError(f"checkpoint has unexpected {kind} {', '.join(map(repr, extra))}")
 
 
+# The JSON value types each ModelConfig annotation accepts, matched exactly so
+# that true/false is not an int, and their name in errors.
+_CONFIG_TYPES = {
+    "int": ((int,), "an int"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a bool"),
+}
+
+
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     """Parse a checkpoint, checking it against the model its config describes.
 
-    Every key the format defines must be present, every config field too, and
-    the tensors must be exactly the ones ``init_params`` creates, with the same
-    shapes and finite values.
+    Every key the format defines must be present, every config field too with
+    a value of its JSON type, and the tensors must be exactly the ones
+    ``init_params`` creates, with the same shapes and finite values.
     """
     payload = json.loads(blob.decode("utf-8"))
     found = payload.get("format") if isinstance(payload, dict) else None
@@ -660,6 +674,13 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     lists = ("dep_labels", "relations", "ne_tags")
     _require_names("vocab list", payload["vocab"], lists, exact=False)
     _require_names("config field", payload["config"], (f.name for f in fields(ModelConfig)))
+    for f in fields(ModelConfig):
+        kinds, noun = _CONFIG_TYPES[f.type]
+        value = payload["config"][f.name]
+        if type(value) not in kinds:
+            raise ValueError(
+                f"checkpoint config field {f.name!r} must be {noun}, got {type(value).__name__}"
+            )
     config = ModelConfig(**payload["config"])
     vocab = LabelVocab(
         tuple(payload["vocab"]["dep_labels"]),

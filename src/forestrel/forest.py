@@ -53,22 +53,6 @@ class DecodingError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChartItem:
-    """One half-span of the decoder chart with its K-best hypothesis list.
-
-    ``span`` is inclusive on both ends.  ``direction`` is RIGHT when the head
-    sits at the left end of the span.  Hypotheses carry materialized edge sets
-    (their own backpointers) and are sorted strictly descending under the tie
-    rule; the list never exceeds the requested K.
-    """
-
-    span: tuple[int, int]
-    direction: int
-    shape: int
-    hypotheses: tuple[Hypothesis, ...]
-
-
-@dataclass(frozen=True)
 class ForestStats:
     """Aggregate forest diagnostics over an aligned collection of instances."""
 
@@ -182,6 +166,12 @@ def _arc_tables(
 
 
 def _build_chart(probs: ArcProbabilities, k: int) -> dict[tuple[int, int, int, int], list[Hypothesis]]:
+    """The K-best hypothesis list of every half-span ``(i, j, direction, shape)``.
+
+    ``i..j`` is inclusive; ``direction`` is RIGHT when the head sits at the
+    left end.  Each list is sorted strictly descending under the tie rule and
+    never exceeds ``k``.
+    """
     n = probs.n
     logp, label_idx, _ = _arc_tables(probs)
     chart: dict[tuple[int, int, int, int], list[Hypothesis]] = {}
@@ -221,15 +211,6 @@ def _build_chart(probs: ArcProbabilities, k: int) -> dict[tuple[int, int, int, i
             ]
             chart[(i, j, LEFT, COMPLETE)] = _merge_rules(rules_l, k)
     return chart
-
-
-def kbest_chart(probs: ArcProbabilities, k: int) -> dict[tuple[int, int, int, int], ChartItem]:
-    """Expose the populated chart as ChartItem values (diagnostic aid)."""
-    chart = _build_chart(probs, k)
-    return {
-        key: ChartItem((key[0], key[1]), key[2], key[3], tuple(hyps))
-        for key, hyps in chart.items()
-    }
 
 
 def _check_coverage(probs: ArcProbabilities) -> None:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from forestrel.core import DependencyEdge, DependencyForest
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -69,3 +71,32 @@ def test_every_expected_span_is_wrapped_under_its_own_name():
     for base in bases:
         layer, attr = base.split(".")
         assert not hasattr(getattr(importlib.import_module(f"forestrel.{layer}"), attr), "__wrapped__")
+
+
+def test_graph_counters_count_words_and_non_root_arcs(vocab5):
+    # graph_edges_per_word reads len(graph.edges): one row per arc, whatever
+    # else the graph stores.
+    spans = _load_bench_module("spans")
+    forest = DependencyForest.from_edges(
+        "s",
+        6,
+        [
+            DependencyEdge(0, "nsubj", 2, 0.9),
+            DependencyEdge(2, "amod", 1, 0.8),
+            DependencyEdge(2, "obj", 4, 0.7),
+            DependencyEdge(2, "conj", 4, 0.2),
+            DependencyEdge(4, "amod", 3, 0.5),
+            DependencyEdge(0, "nsubj", 5, 0.4),
+            DependencyEdge(4, "prep", 5, 0.6),
+        ],
+        vocab5,
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        importlib.import_module("forestrel.encoder").build_gnn_graph(forest, vocab5)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["encoder.build_gnn_graph"]
+    assert tracer.counters["encoder.graph_edges"] == 5
+    assert tracer.counters["encoder.graph_words"] == 6

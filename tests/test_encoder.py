@@ -1,6 +1,7 @@
 """Encoder forward/backward: LSTM and GRN oracles, message passing, dropout, checkpoints."""
 
 import base64
+import dataclasses
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from forestrel.encoder import (
     ModelConfig,
     ModelParams,
     _CELL_ORDER,
+    _graph_operators,
     _lstm_forward,
     _sigmoid,
     backward,
@@ -34,6 +36,7 @@ from forestrel.encoder import (
     softmax,
     token_ids_for,
 )
+from forestrel.forest import edgewise_forest
 
 
 def _sigma(x):
@@ -214,23 +217,85 @@ class TestGraph:
     def test_root_arcs_are_dropped(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         assert forest.num_edges == 5
-        assert len(graph.edges) == 4
-        assert all(e.head != 0 for e in graph.edges)
+        assert graph.edges.shape == (4, 3) and graph.probs.shape == (4,)
+        assert (graph.edges[:, 0] != 0).all()
 
     def test_label_rows_resolved(self, vocab5, tiny_setup):
-        _, _, _, graph, _ = tiny_setup
+        _, _, forest, graph, _ = tiny_setup
         num = vocab5.num_dep_labels
-        for e in graph.edges:
-            assert 0 <= e.fwd_row < num
-            assert e.rev_row == e.fwd_row + num
+        labels = graph.edges[:, 2]
+        assert ((0 <= labels) & (labels < num)).all()
+        assert labels.tolist() == [vocab5.dep_index(e.label) for e in forest.edges if e.head != 0]
+        # forward labels count in the first num columns, reversed ones num later
+        _, dep_labels, head_labels = _graph_operators(graph, False, num)
+        for (head, modifier, label) in graph.edges:
+            assert dep_labels[head - 1, label] >= 1.0
+            assert head_labels[modifier - 1, num + label] >= 1.0
+        assert not dep_labels[:, num:].any() and not head_labels[:, :num].any()
 
     def test_edge_order_follows_forest(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
-        non_root = [(e.head, e.modifier) for e in forest.edges if e.head != 0]
-        assert [(e.head, e.modifier) for e in graph.edges] == non_root
+        non_root = [e for e in forest.edges if e.head != 0]
+        assert graph.edges[:, :2].tolist() == [[e.head, e.modifier] for e in non_root]
+        assert graph.probs.tolist() == [e.prob for e in non_root]
+
+
+def _doubled_pairs(forest):
+    pairs = [(e.head, e.modifier) for e in forest.edges if e.head != 0]
+    return {pair for pair in pairs if pairs.count(pair) > 1}
 
 
 class TestMessages:
+    @staticmethod
+    def _edge_loop(h, label_emb, forest, vocab, weighted):
+        # One arc at a time, straight from the forest's edges.
+        n, ds = h.shape
+        num = vocab.num_dep_labels
+        half = ds + label_emb.shape[1]
+        m = np.zeros((n, 2 * half))
+        for e in forest.edges:
+            if e.head == 0:
+                continue
+            w = e.prob if weighted else 1.0
+            label = vocab.dep_index(e.label)
+            m[e.head - 1, :ds] += w * h[e.modifier - 1]
+            m[e.head - 1, ds:half] += w * label_emb[label]
+            m[e.modifier - 1, half : half + ds] += w * h[e.head - 1]
+            m[e.modifier - 1, half + ds :] += w * label_emb[num + label]
+        return m
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_edge_loop_and_keeps_every_arc(self, vocab5, arc_grid_factory, seed):
+        rng = np.random.default_rng(seed)
+        forest = edgewise_forest(arc_grid_factory(rng, vocab5, 9, extra=0.5), 0.0)
+        assert _doubled_pairs(forest), "some (head, modifier) pair must carry two labels"
+        graph = build_gnn_graph(forest, vocab5)
+        h = rng.normal(size=(9, 4))
+        label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 3))
+        for weighted in (False, True):
+            np.testing.assert_allclose(
+                compute_messages(h, label_emb, graph, weighted),
+                self._edge_loop(h, label_emb, forest, vocab5, weighted),
+                rtol=1e-12,
+                atol=1e-15,
+                err_msg=f"weighted={weighted}",
+            )
+        # One-hot states and label rows make each message row spell out the
+        # arcs it sums: every arc not anchored at ROOT reaches its head.
+        num = vocab5.num_dep_labels
+        m = compute_messages(np.eye(9), np.eye(2 * num), graph, weighted=True)
+        m_dep, m_head = m[:, : 9 + 2 * num], m[:, 9 + 2 * num :]
+        for e in forest.edges:
+            if e.head == 0:
+                continue
+            label = vocab5.dep_index(e.label)
+            assert m_dep[e.head - 1, e.modifier - 1] >= e.prob
+            assert m_dep[e.head - 1, 9 + label] >= e.prob
+            assert m_head[e.modifier - 1, e.head - 1] >= e.prob
+            assert m_head[e.modifier - 1, 9 + num + label] >= e.prob
+        non_root_mass = sum(e.prob for e in forest.edges if e.head != 0)
+        assert m_dep[:, :9].sum() == pytest.approx(non_root_mass, rel=1e-12)
+
     def test_single_edge_formula(self, vocab5):
         forest = DependencyForest.from_edges(
             "s", 3, [DependencyEdge(2, "obj", 3, 0.5)], vocab5
@@ -387,10 +452,19 @@ class TestForwardBackward:
         for name in params.names():
             assert buffer[name].tobytes() == before[name], name
 
-    @pytest.mark.parametrize("structure", ["textonly", "forest"])
+    @pytest.mark.parametrize("structure", ["textonly", "forest", "doubled-weighted"])
     def test_finite_difference_spot_check(self, vocab5, tiny_setup, structure):
-        config, params, _, graph, token_ids = tiny_setup
-        graph = graph if structure == "forest" else None
+        config, params, forest, graph, token_ids = tiny_setup
+        if structure == "textonly":
+            graph = None
+        elif structure == "doubled-weighted":
+            # word 2 heads word 1 under two labels: the adjacency sums them
+            doubled = DependencyForest.from_edges(
+                "s", forest.n, list(forest.edges) + [DependencyEdge(2, "obj", 1, 0.15)], vocab5
+            )
+            assert _doubled_pairs(doubled) == {(2, 1)}
+            graph = build_gnn_graph(doubled, vocab5)
+            config = dataclasses.replace(config, weighted=True)
         gold = 0
         spans = ((1, 2), (3, 5))
 
@@ -531,6 +605,25 @@ class TestCheckpoint:
         blob = self._tampered(vocab5, lambda p: p["config"].update(layers=3))
         with pytest.raises(ValueError, match="unexpected config field 'layers'"):
             checkpoint_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("dim_word", "2", "'dim_word' must be an int, got str"),
+            ("seed", True, "'seed' must be an int, got bool"),
+            ("dropout", "0.1", "'dropout' must be a number, got str"),
+            ("dropout", False, "'dropout' must be a number, got bool"),
+            ("weighted", 1, "'weighted' must be a bool, got int"),
+        ],
+    )
+    def test_config_value_of_wrong_type_rejected(self, vocab5, tmp_path, name, value, message):
+        blob = self._tampered(vocab5, lambda p: p["config"].update({name: value}))
+        with pytest.raises(ValueError, match=f"^checkpoint config field {message}$"):
+            checkpoint_from_bytes(blob)
+        path = tmp_path / "model.json"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint config field"):
+            load_checkpoint(str(path))
 
     def test_load_names_the_file(self, vocab5, tmp_path):
         path = tmp_path / "model.json"

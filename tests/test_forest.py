@@ -19,6 +19,7 @@ from forestrel.forest import (
     INCOMPLETE,
     LEFT,
     RIGHT,
+    _build_chart,
     best_label,
     brute_force_kbest,
     decode_1best,
@@ -27,7 +28,6 @@ from forestrel.forest import (
     forest_density,
     forest_stats,
     inject_fallback,
-    kbest_chart,
     mention_connectivity,
     merge_trees,
     oracle_las,
@@ -192,17 +192,14 @@ class TestChartItems:
         rng = np.random.default_rng(5)
         probs = arc_grid_factory(rng, vocab5, 4)
         k = 3
-        chart = kbest_chart(probs, k)
-        goal = chart[(0, 4, RIGHT, COMPLETE)]
-        assert goal.hypotheses, "goal item must be populated"
-        for (i, j, direction, shape), item in chart.items():
-            assert item.span == (i, j)
-            assert item.direction == direction and item.shape == shape
-            assert len(item.hypotheses) <= k
-            ordered = [(-s, edges) for s, edges in item.hypotheses]
+        chart = _build_chart(probs, k)
+        assert chart[(0, 4, RIGHT, COMPLETE)], "goal item must be populated"
+        for (i, j, direction, shape), hypotheses in chart.items():
+            assert len(hypotheses) <= k
+            ordered = [(-s, edges) for s, edges in hypotheses]
             assert ordered == sorted(ordered)
-            assert len({edges for _, edges in item.hypotheses}) == len(item.hypotheses)
-            for _, edges in item.hypotheses:
+            assert len({edges for _, edges in hypotheses}) == len(hypotheses)
+            for _, edges in hypotheses:
                 if shape == INCOMPLETE:
                     # incomplete items carry the arc between their endpoints
                     assert any((m, h) in {(j, i), (i, j)} for (m, h, _) in edges)
@@ -212,10 +209,10 @@ class TestChartItems:
     def test_left_incomplete_never_makes_root_a_modifier(self, vocab5, arc_grid_factory):
         rng = np.random.default_rng(6)
         probs = arc_grid_factory(rng, vocab5, 4)
-        chart = kbest_chart(probs, 2)
-        for (i, j, direction, shape), item in chart.items():
+        chart = _build_chart(probs, 2)
+        for (i, j, direction, shape), hypotheses in chart.items():
             if direction == LEFT and shape == INCOMPLETE and i == 0:
-                assert item.hypotheses == ()
+                assert hypotheses == []
 
 
 class TestMergeTrees:
