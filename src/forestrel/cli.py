@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import dataio, forest as forestmod, training
 from .core import LabelVocab
@@ -171,7 +170,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         args.structure,
     )
     save_checkpoint(result.checkpoint, args.checkpoint)
-    Path(args.log).write_text(training.format_metric_log(result.epochs), encoding="utf-8")
+    with dataio.atomic_open(args.log) as fh:
+        fh.write(training.format_metric_log(result.epochs))
     best = result.epochs[result.best_epoch - 1]
     print(
         f"trained {len(result.epochs)} epochs in {result.wall_seconds:.1f}s; "
@@ -204,7 +204,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         args.corpus, args.forests, checkpoint.vocab, checkpoint.structure
     )
     rows = training.predict(checkpoint, instances, forests)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with dataio.atomic_open(args.out) as fh:
         for sid, relation, prob in rows:
             fh.write(
                 json.dumps(

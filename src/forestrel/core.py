@@ -143,8 +143,10 @@ class ArcProbabilities:
         self.sentence_id = sentence_id
         self.n = n
         self.vocab = vocab
-        staged: dict[int, dict[int, list[tuple[str, float]]]] = {}
-        seen: set[tuple[int, int, str]] = set()
+        # Each (modifier, head) cell maps label index -> (label, prob); sorting
+        # its keys gives vocabulary order.
+        staged: dict[int, dict[int, dict[int, tuple[str, float]]]] = {}
+        dep_index = vocab.dep_index
         count = 0
         for modifier, head, label, prob in entries:
             if not 1 <= modifier <= n:
@@ -153,28 +155,26 @@ class ArcProbabilities:
                 raise ValueError(f"head {head} out of range 0..{n}")
             if head == modifier:
                 raise ValueError(f"self-arc at position {modifier}")
-            vocab.dep_index(label)  # raises LabelLookupError for unknown labels
+            index = dep_index(label)  # raises LabelLookupError for unknown labels
             if not 0.0 < prob <= 1.0:
                 raise ValueError(f"probability {prob} for {(modifier, head, label)} not in (0, 1]")
-            key = (modifier, head, label)
-            if key in seen:
-                raise ValueError(f"duplicate arc entry {key}")
-            seen.add(key)
-            staged.setdefault(modifier, {}).setdefault(head, []).append((label, prob))
+            cell = staged.setdefault(modifier, {}).setdefault(head, {})
+            if index in cell:
+                raise ValueError(f"duplicate arc entry {(modifier, head, label)}")
+            cell[index] = (label, prob)
             count += 1
         for modifier, heads in staged.items():
-            mass = sum(p for cands in heads.values() for _, p in cands)
+            mass = sum(p for cell in heads.values() for _, p in cell.values())
             if mass > 1.0 + MASS_TOLERANCE:
                 raise ValueError(
                     f"stored mass {mass:.9f} for modifier {modifier} exceeds 1 + {MASS_TOLERANCE}"
                 )
         by_mod: dict[int, tuple[tuple[int, tuple[tuple[str, float], ...]], ...]] = {}
-        for modifier in sorted(staged):
-            head_items = []
-            for head in sorted(staged[modifier]):
-                cands = sorted(staged[modifier][head], key=lambda lp: vocab.dep_index(lp[0]))
-                head_items.append((head, tuple(cands)))
-            by_mod[modifier] = tuple(head_items)
+        for modifier, heads in sorted(staged.items()):
+            by_mod[modifier] = tuple(
+                (head, tuple(map(cell.__getitem__, sorted(cell))))
+                for head, cell in sorted(heads.items())
+            )
         self._by_mod = by_mod
         self._num_entries = count
 

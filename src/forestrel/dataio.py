@@ -15,14 +15,19 @@ Formats::
 Arc and forest rows are kept in canonical (modifier, head, label-index) order,
 which makes load-then-write byte-identical.  Gold trees use the forest format
 (a tree is just a forest with exactly one head per token).
+
+Every writer goes through ``atomic_open``: a file is either the old one or the
+complete new one, never a truncated mix.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +53,35 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+@contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write to a temporary file beside ``path``; a clean exit renames it over ``path``.
+
+    The temporary file is flushed to disk before the rename.  If the block
+    raises, the temporary file is removed and ``path`` keeps its old bytes.
+    A symlink stays in place and its target is replaced.  A pipe or device
+    (``/dev/stdout``) cannot be replaced, so it is written in place.
+    """
+    mode, encoding = ("wb", None) if binary else ("w", "utf-8")
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = path.resolve()
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=encoding) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
     with open(path, encoding="utf-8") as fh:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
@@ -63,7 +97,8 @@ def save_vocab(vocab: LabelVocab, path: str | Path) -> None:
         "relations": list(vocab.relations),
         "ne_tags": list(vocab.ne_tags),
     }
-    Path(path).write_text(_dumps(payload) + "\n", encoding="utf-8")
+    with atomic_open(path) as fh:
+        fh.write(_dumps(payload) + "\n")
 
 
 def load_vocab(path: str | Path) -> LabelVocab:
@@ -110,7 +145,7 @@ def _instance_from_obj(obj: dict) -> RelationInstance:
 
 
 def save_corpus(instances: Iterable[RelationInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for inst in instances:
             fh.write(_dumps(_instance_to_obj(inst)) + "\n")
 
@@ -146,7 +181,7 @@ def load_corpus(
 
 
 def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sid, probs in probs_by_id.items():
             obj = {
                 "id": sid,
@@ -181,7 +216,7 @@ def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabil
 def _write_edge_rows(structures_by_id: dict, path: str | Path) -> None:
     """One forest-format line per forest or tree, in map order; their edges
     are already canonically sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for sid, structure in structures_by_id.items():
             obj = {
                 "id": sid,

@@ -36,6 +36,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN
+from .dataio import atomic_open
 
 STRUCTURES = ("textonly", "tree", "forest")
 _CHECKPOINT_FORMAT = "forestrel-checkpoint-v2"
@@ -713,7 +714,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(checkpoint_to_bytes(ckpt))
 
 

@@ -6,25 +6,33 @@ Two routes produce forests:
 * ``decode_kbest`` + ``merge_trees`` unions the K best projective trees.
 
 Decoding uses the classic O(n^3) span chart over complete/incomplete
-half-spans with ROOT fixed at position 0.  K-best lists per chart item are
-built by lazy best-first frontier merging: seed each combination rule with its
-top pair, pop the maximum, then push the two index-neighbours of whatever was
-popped.  Arc scores are log-probabilities of each arc's best label, so K-best
-diversity is purely structural.
+half-spans with ROOT fixed at position 0 (Eisner 1996).  Each of the four item
+types keeps a ``(n+1, n+1, K)`` array of scores plus backpointers (split
+point, left rank, right rank), as in Huang & Chiang 2005.  One span length is
+filled for every start position at once: all splits x K x K candidates are
+scored in one array expression and each item keeps its K best.  Edge sets are
+rebuilt from the backpointers only where the tie rule needs them and for the
+goal item's K derivations.  Arc scores are log-probabilities of each arc's
+best label, so K-best diversity is purely structural.
 
 Ties are broken deterministically everywhere: compare log-scores first, then
-the lexicographically sorted (modifier, head, label-index) edge list.
-``brute_force_kbest`` re-derives the same top-K by exhaustive enumeration and
-serves as an independent reference for the chart decoder.
+the lexicographically sorted (modifier, head, label-index) edge list.  Chart
+scores are sums in derivation order, while ``tree_log_score`` (and with it
+``brute_force_kbest``) sums in modifier order.  Trees whose scores tie only in
+exact arithmetic can therefore round differently in the two, and on such
+grids the chart and the exhaustive reference may return different, equally
+scored K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference
+for the chart decoder.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import (
     ArcProbabilities,
@@ -42,11 +50,6 @@ COMPLETE, INCOMPLETE = 0, 1
 BRUTE_FORCE_MAX_N = 8
 
 NEG_INF = float("-inf")
-
-# A hypothesis is (log_score, edges) where edges is a sorted tuple of
-# (modifier, head, label_index) triples; the tuple doubles as the tie key.
-Hypothesis = tuple[float, tuple[tuple[int, int, int], ...]]
-
 
 class DecodingError(ValueError):
     """Decoding preconditions violated or no analysis exists."""
@@ -101,115 +104,192 @@ def inject_fallback(probs: ArcProbabilities, eps: float) -> ArcProbabilities:
     return ArcProbabilities(probs.sentence_id, probs.n, probs.vocab, entries)
 
 
-def _merge_edge_sets(
-    left: tuple[tuple[int, int, int], ...],
-    right: tuple[tuple[int, int, int], ...],
-    arc: tuple[int, int, int] | None,
-) -> tuple[tuple[int, int, int], ...]:
-    merged = left + right if arc is None else left + right + (arc,)
-    return tuple(sorted(merged))
+def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], list[list[float]]]:
+    """Dense (head, modifier) tables of best-label log-prob, label index, prob.
 
-
-def _merge_rules(
-    rules: Sequence[tuple[float, tuple[int, int, int] | None, list[Hypothesis], list[Hypothesis]]],
-    k: int,
-) -> list[Hypothesis]:
-    """Lazily merge the cross-products of all rules into one K-best list.
-
-    Each rule is (arc_log_prob, arc_or_None, left_list, right_list); the score
-    of pair (a, b) is ``arc_log_prob + left[a][0] + right[b][0]``.  Scores are
-    monotone in both indices, so best-first popping with index-neighbour
-    expansion yields the exact top K.
+    One pass over the canonical entries; as in ``best_label``, the first
+    maximum in vocabulary order wins.  Absent arcs have log-prob -inf.
     """
-    heap: list[tuple[float, tuple[tuple[int, int, int], ...], int, int, int]] = []
-    visited: set[tuple[int, int, int]] = set()
-
-    def push(rule_idx: int, ia: int, ib: int) -> None:
-        if (rule_idx, ia, ib) in visited:
-            return
-        weight, arc, left, right = rules[rule_idx]
-        if ia >= len(left) or ib >= len(right):
-            return
-        visited.add((rule_idx, ia, ib))
-        score = weight + left[ia][0] + right[ib][0]
-        edges = _merge_edge_sets(left[ia][1], right[ib][1], arc)
-        heapq.heappush(heap, (-score, edges, rule_idx, ia, ib))
-
-    for rule_idx in range(len(rules)):
-        push(rule_idx, 0, 0)
-
-    out: list[Hypothesis] = []
-    while heap and len(out) < k:
-        neg_score, edges, rule_idx, ia, ib = heapq.heappop(heap)
-        out.append((-neg_score, edges))
-        push(rule_idx, ia + 1, ib)
-        push(rule_idx, ia, ib + 1)
-    return out
-
-
-def _arc_tables(
-    probs: ArcProbabilities,
-) -> tuple[list[list[float]], list[list[int]], list[list[float]]]:
-    """Dense (head, modifier) tables of best-label log-prob, label index, prob."""
-    n = probs.n
-    vocab = probs.vocab
-    logp = [[NEG_INF] * (n + 1) for _ in range(n + 1)]
-    label_idx = [[-1] * (n + 1) for _ in range(n + 1)]
-    prob = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for m in range(1, n + 1):
-        for h in probs.heads(m):
-            label, p = best_label(probs, h, m)  # type: ignore[misc]
-            logp[h][m] = math.log(p)
-            label_idx[h][m] = vocab.dep_index(label)
+    size = probs.n + 1
+    index = {label: i for i, label in enumerate(probs.vocab.dep_labels)}
+    label_idx = [[-1] * size for _ in range(size)]
+    prob = [[0.0] * size for _ in range(size)]
+    logp = [[NEG_INF] * size for _ in range(size)]
+    for m, h, label, p in probs.iter_entries():
+        if p > prob[h][m]:
             prob[h][m] = p
-    return logp, label_idx, prob
+            label_idx[h][m] = index[label]
+            logp[h][m] = math.log(p)
+    return np.array(logp), label_idx, prob
 
 
-def _build_chart(probs: ArcProbabilities, k: int) -> dict[tuple[int, int, int, int], list[Hypothesis]]:
-    """The K-best hypothesis list of every half-span ``(i, j, direction, shape)``.
+def _subspans(direction: int, shape: int, i: int, j: int, s: int) -> tuple[tuple, tuple]:
+    """The two half-spans a derivation of ``(direction, shape, i, j)`` split at ``s`` joins."""
+    if shape == INCOMPLETE:
+        return (RIGHT, COMPLETE, i, s), (LEFT, COMPLETE, s + 1, j)
+    if direction == RIGHT:
+        return (RIGHT, INCOMPLETE, i, s), (RIGHT, COMPLETE, s, j)
+    return (LEFT, COMPLETE, i, s), (LEFT, INCOMPLETE, s, j)
 
-    ``i..j`` is inclusive; ``direction`` is RIGHT when the head sits at the
-    left end.  Each list is sorted strictly descending under the tie rule and
-    never exceeds ``k``.
+
+class _Chart:
+    """K-best lists of every half-span as score and backpointer arrays.
+
+    ``score[direction, shape, i, j, r]`` is the log-score of the rank-``r``
+    derivation of half-span ``i..j`` (inclusive; ``direction`` is RIGHT when
+    the head sits at the left end), -inf past the last derivation.
+    ``split``, ``left`` and ``right`` hold its split point and the ranks of
+    the two sub-derivations ``_subspans`` names.  Each item's derivations are
+    sorted strictly descending under the tie rule, and there are at most
+    ``k``.  Edge sets are rebuilt from the backpointers only on demand.
+    """
+
+    def __init__(self, n: int, k: int, label_idx: list[list[int]], prob: list[list[float]]) -> None:
+        shape = (2, 2, n + 1, n + 1, k)
+        self.k = k
+        self.score = np.full(shape, NEG_INF)
+        diagonal = np.arange(n + 1)
+        self.score[:, COMPLETE, diagonal, diagonal, 0] = 0.0  # the empty derivation
+        self.split = np.zeros(shape, dtype=np.min_scalar_type(n))
+        self.left = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+        self.right = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+        self.label_idx = label_idx
+        self.prob = prob
+        self._edges: dict[tuple[int, int, int, int, int], tuple[tuple[int, int, int], ...]] = {}
+
+    def _join(self, direction: int, shape: int, i: int, j: int, left: tuple, right: tuple) -> tuple:
+        # The sub-spans' modifiers are disjoint and ordered, so joining their
+        # sorted edge tuples around the new arc keeps the result sorted.
+        if shape == COMPLETE:
+            return left + right
+        if direction == RIGHT:
+            return left + right + ((j, i, self.label_idx[i][j]),)
+        return ((i, j, self.label_idx[j][i]),) + left + right
+
+    def edges(self, item: tuple[int, int, int, int, int]) -> tuple[tuple[int, int, int], ...]:
+        """Sorted (modifier, head, label-index) edges of derivation ``(direction, shape, i, j, rank)``."""
+        memo = self._edges
+        todo = [item]
+        while todo:
+            top = todo[-1]
+            if top in memo:
+                todo.pop()
+                continue
+            direction, shape, i, j, _ = top
+            if i == j:
+                memo[top] = ()
+                todo.pop()
+                continue
+            lsub, rsub = _subspans(direction, shape, i, j, int(self.split[top]))
+            parts = (lsub + (int(self.left[top]),), rsub + (int(self.right[top]),))
+            missing = [part for part in parts if part not in memo]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            memo[top] = self._join(direction, shape, i, j, memo[parts[0]], memo[parts[1]])
+        return memo[item]
+
+    def hypotheses(self, direction: int, shape: int, i: int, j: int) -> list[tuple[float, tuple]]:
+        """The item's ``(log_score, edges)`` list, best first."""
+        scores = self.score[direction, shape, i, j]
+        return [
+            (float(scores[r]), self.edges((direction, shape, i, j, r)))
+            for r in range(self.k)
+            if scores[r] > NEG_INF
+        ]
+
+    def fill(self, shape: int, directions: np.ndarray, starts: np.ndarray, firsts: np.ndarray,
+             length: int, cands: np.ndarray) -> None:
+        """Keep the K best candidates of each row's item.
+
+        Row ``r`` is item ``(directions[r], shape, starts[r], starts[r] + length)``;
+        ``cands[r, t, a, b]`` scores its derivation split at
+        ``starts[r] + firsts[r] + t`` from sub-derivations of ranks ``a`` and ``b``.
+        """
+        k = self.k
+        rows, width = len(starts), cands[0].size
+        flat = cands.reshape(rows, width)
+        row_idx = np.arange(rows)[:, None]
+        if width > k + 1:
+            top = np.argpartition(flat, width - k - 1, axis=1)[:, width - k - 1:]
+        else:
+            top = np.broadcast_to(np.arange(width), (rows, width))
+        vals = flat[row_idx, top]
+        order = np.argsort(-vals, axis=1, kind="stable")
+        vals = vals[row_idx, order]
+        top = top[row_idx, order[:, :k]]
+        kept = top.shape[1]
+        item = (directions, shape, starts, starts + length, slice(0, kept))
+        self.score[item] = vals[:, :kept]
+        self.split[item] = top // (k * k) + (starts + firsts)[:, None]
+        self.left[item] = top // k % k
+        self.right[item] = top % k
+        # Equal finite scores among the K+1 best leave the order, or the cut,
+        # to the edge sets: re-rank those rows exactly under the tie rule.
+        tied = ((vals[:, 1:] == vals[:, :-1]) & (vals[:, 1:] > NEG_INF)).any(axis=1)
+        for r in np.flatnonzero(tied).tolist():
+            self._rerank(int(directions[r]), shape, int(starts[r]), int(firsts[r]), length,
+                         flat[r], vals[r, kept - 1])
+
+    def _rerank(self, direction: int, shape: int, i: int, first: int, length: int,
+                row: np.ndarray, cutoff: float) -> None:
+        """Sort every candidate scoring at least ``cutoff`` by (-score, edges); keep K."""
+        k = self.k
+        j = i + length
+        ranked = []
+        for c in np.flatnonzero((row >= cutoff) & (row > NEG_INF)).tolist():
+            s, a, b = i + first + c // (k * k), c // k % k, c % k
+            lsub, rsub = _subspans(direction, shape, i, j, s)
+            key = self._join(direction, shape, i, j, self.edges(lsub + (a,)), self.edges(rsub + (b,)))
+            ranked.append((-float(row[c]), key, s, a, b))
+        ranked.sort()
+        for r, (neg_score, key, s, a, b) in enumerate(ranked[:k]):
+            item = (direction, shape, i, j, r)
+            self.score[item] = -neg_score
+            self.split[item], self.left[item], self.right[item] = s, a, b
+            self._edges[item] = key
+
+
+def _build_chart(probs: ArcProbabilities, k: int) -> _Chart:
+    """Fill the K-best chart one span length at a time, every start at once.
+
+    A derivation scores ``(arc_log_prob + left) + right`` on incomplete spans
+    and ``left + right`` on complete ones, summed in derivation order; each
+    item keeps the top K of all its splits x K x K candidates.
     """
     n = probs.n
-    logp, label_idx, _ = _arc_tables(probs)
-    chart: dict[tuple[int, int, int, int], list[Hypothesis]] = {}
-    empty: Hypothesis = (0.0, ())
-    for i in range(n + 1):
-        chart[(i, i, LEFT, COMPLETE)] = [empty]
-        chart[(i, i, RIGHT, COMPLETE)] = [empty]
+    logp, label_idx, prob = _arc_tables(probs)
+    chart = _Chart(n, k, label_idx, prob)
+    score = chart.score
     for length in range(1, n + 1):
-        for i in range(0, n + 1 - length):
-            j = i + length
-            halves = [
-                (chart[(i, s, RIGHT, COMPLETE)], chart[(s + 1, j, LEFT, COMPLETE)])
-                for s in range(i, j)
-            ]
-            # Incomplete spans attach one new arc between the endpoints.
-            if logp[i][j] > NEG_INF:
-                arc = (j, i, label_idx[i][j])
-                rules = [(logp[i][j], arc, lft, rgt) for lft, rgt in halves]
-                chart[(i, j, RIGHT, INCOMPLETE)] = _merge_rules(rules, k)
-            else:
-                chart[(i, j, RIGHT, INCOMPLETE)] = []
-            if i >= 1 and logp[j][i] > NEG_INF:
-                arc = (i, j, label_idx[j][i])
-                rules = [(logp[j][i], arc, lft, rgt) for lft, rgt in halves]
-                chart[(i, j, LEFT, INCOMPLETE)] = _merge_rules(rules, k)
-            else:
-                chart[(i, j, LEFT, INCOMPLETE)] = []
-            # Complete spans absorb a finished dependent span.
-            rules_r = [
-                (0.0, None, chart[(i, s, RIGHT, INCOMPLETE)], chart[(s, j, RIGHT, COMPLETE)])
-                for s in range(i + 1, j + 1)
-            ]
-            chart[(i, j, RIGHT, COMPLETE)] = _merge_rules(rules_r, k)
-            rules_l = [
-                (0.0, None, chart[(i, s, LEFT, COMPLETE)], chart[(s, j, LEFT, INCOMPLETE)])
-                for s in range(i, j)
-            ]
-            chart[(i, j, LEFT, COMPLETE)] = _merge_rules(rules_l, k)
+        starts = np.arange(n + 1 - length)
+        ends = starts + length
+        i = starts[:, None]
+        j = ends[:, None]
+        t = np.arange(length)
+        both = np.concatenate((starts, starts))
+        directions = np.repeat(np.array([RIGHT, LEFT]), len(starts))
+        # Incomplete spans attach the arc between the endpoints to a
+        # head-left complete span i..s and a head-right one s+1..j.
+        arcs = np.concatenate((logp[starts, ends], logp[ends, starts]))
+        live = np.flatnonzero(arcs > NEG_INF)
+        if live.size:
+            sub = both[live][:, None]
+            cands = ((arcs[live, None, None, None]
+                      + score[RIGHT, COMPLETE][sub, sub + t][..., :, None])
+                     + score[LEFT, COMPLETE][sub + t + 1, sub + length][..., None, :])
+            chart.fill(INCOMPLETE, directions[live], both[live], np.zeros_like(live), length, cands)
+        # Complete spans absorb a finished dependent span: head-left i..s
+        # incomplete + s..j complete, or head-right i..s complete + s..j incomplete.
+        cands = np.concatenate((
+            score[RIGHT, INCOMPLETE][i, i + t + 1][..., :, None]
+            + score[RIGHT, COMPLETE][i + t + 1, j][..., None, :],
+            score[LEFT, COMPLETE][i, i + t][..., :, None]
+            + score[LEFT, INCOMPLETE][i + t, j][..., None, :],
+        ))
+        firsts = np.repeat(np.array([1, 0]), len(starts))
+        chart.fill(COMPLETE, directions, both, firsts, length, cands)
     return chart
 
 
@@ -222,21 +302,13 @@ def _check_coverage(probs: ArcProbabilities) -> None:
         )
 
 
-def _materialize(
-    hyps: Iterable[Hypothesis], probs: ArcProbabilities
-) -> list[tuple[DependencyTree, tuple[tuple[int, int, int], ...]]]:
-    _, _, prob = _arc_tables(probs)
+def _goal_trees(chart: _Chart, probs: ArcProbabilities) -> list[tuple[DependencyTree, tuple]]:
+    """The goal item's derivations as trees, each with its sorted edge key."""
     labels = probs.vocab.dep_labels
     out = []
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
-    for _, edge_key in hyps:
-        if edge_key in seen:  # defensive: the chart has no duplicate derivations
-            continue
-        seen.add(edge_key)
-        edges = [
-            DependencyEdge(h, labels[li], m, prob[h][m]) for (m, h, li) in edge_key
-        ]
-        out.append((DependencyTree.from_edges(edges), edge_key))
+    for _, key in chart.hypotheses(RIGHT, COMPLETE, 0, probs.n):
+        edges = (DependencyEdge(h, labels[li], m, chart.prob[h][m]) for m, h, li in key)
+        out.append((DependencyTree.from_edges(edges), key))
     return out
 
 
@@ -251,9 +323,7 @@ def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_coverage(probs)
-    chart = _build_chart(probs, k)
-    goal = chart[(0, probs.n, RIGHT, COMPLETE)]
-    trees = _materialize(goal, probs)
+    trees = _goal_trees(_build_chart(probs, k), probs)
     trees.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in trees[:k]]
 
@@ -276,6 +346,11 @@ def brute_force_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
     candidate heads (assignments using unstored arcs cannot be scored and are
     never valid), keeps the acyclic projective ones, scores them with best
     labels, and sorts under the shared tie rule.  Guarded to n <= 8.
+
+    Scores are ``tree_log_score`` sums in modifier order; the chart sums in
+    derivation order.  When trees tie only in exact arithmetic, the two sums
+    can round apart, and this and ``decode_kbest`` may then return
+    different, equally scored K-sets.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -1,14 +1,18 @@
 """File formats (round trips, error reporting) and the synthetic generator."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from forestrel.core import check_tree
+from forestrel import dataio
 from forestrel.dataio import (
     DataFormatError,
     SynthSpec,
+    atomic_open,
     load_arc_probs,
     load_corpus,
     load_forests,
@@ -196,6 +200,80 @@ class TestForestAndTreeFiles:
         )
         with pytest.raises(DataFormatError, match="1 edges for 3 tokens"):
             load_trees(path, vocab5)
+
+
+class TestAtomicWrites:
+    """A failed write leaves the previous file's bytes and no temporary file."""
+
+    def _instances_then_fail(self, instances):
+        yield instances[0]
+        raise RuntimeError("generator failed after one record")
+
+    def test_writer_failing_partway_keeps_old_file(self, tmp_path):
+        data = synth_generate(SynthSpec(n_sentences=4, seed=5))
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(data.instances, path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="after one record"):
+            save_corpus(self._instances_then_fail(data.instances), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+    def test_forest_writer_failing_on_a_bad_value_keeps_old_file(self, tmp_path):
+        data = synth_generate(SynthSpec(n_sentences=3, seed=6))
+        forests = {sid: edgewise_forest(p, 0.1) for sid, p in data.arc_probs.items()}
+        path = tmp_path / "forests.jsonl"
+        write_forests(forests, path)
+        before = path.read_bytes()
+        broken = dict(forests)
+        broken["late"] = None  # written after the valid rows
+        with pytest.raises(AttributeError):
+            write_forests(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["forests.jsonl"]
+
+    def test_failed_flush_to_disk_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"old bytes")
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(dataio.os, "fsync", no_space)
+        with pytest.raises(OSError, match="No space"):
+            with atomic_open(path, binary=True) as fh:
+                fh.write(b"new bytes that never land")
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+    def test_symlink_kept_and_pipe_written_in_place(self, vocab5, tmp_path):
+        target = tmp_path / "real.json"
+        link = tmp_path / "link.json"
+        save_vocab(vocab5, target)
+        expected = target.read_bytes()
+        target.write_bytes(b"stale")
+        link.symlink_to(target)
+        save_vocab(vocab5, link)
+        assert link.is_symlink() and target.read_bytes() == expected
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            save_vocab(vocab5, pipe)
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "pipe", "real.json"]
+
+    def test_new_file_appears_only_complete(self, tmp_path):
+        path = tmp_path / "out.txt"
+        with atomic_open(path) as fh:
+            fh.write("first line\n")
+            assert not path.exists()
+        assert path.read_text(encoding="utf-8") == "first line\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestSynthSpecValidation:

@@ -1,5 +1,6 @@
 """Decoder, K-best machinery, forest construction, and forest statistics."""
 
+import heapq
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from forestrel.core import (
     DependencyTree,
     RelationInstance,
     Sentence,
+    check_tree,
 )
 from forestrel.forest import (
     COMPLETE,
@@ -20,6 +22,7 @@ from forestrel.forest import (
     LEFT,
     RIGHT,
     _build_chart,
+    _Chart,
     best_label,
     brute_force_kbest,
     decode_1best,
@@ -38,6 +41,86 @@ def _key(tree, vocab):
     return tuple(
         sorted((e.modifier, e.head, vocab.dep_index(e.label)) for e in tree.edges)
     )
+
+
+def _chart_items(chart, n):
+    """Every half-span's ``(log_score, edges)`` list, keyed ``(i, j, direction, shape)``."""
+    items = {}
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            for direction in (LEFT, RIGHT):
+                for shape in (COMPLETE, INCOMPLETE) if i < j else (COMPLETE,):
+                    items[(i, j, direction, shape)] = chart.hypotheses(direction, shape, i, j)
+    return items
+
+
+def _reference_chart(probs, k):
+    """Full-enumeration K-best chart over hypotheses that carry their edges.
+
+    Every candidate of an item is scored ``(arc + left) + right`` (no arc on
+    complete spans), as the decoder sums, then all candidates are sorted by
+    (-score, sorted edge tuple) and cut to K.  A candidate below the K-th best
+    score cannot make the cut, so only the others get their edge tuple built.
+    """
+    n = probs.n
+    arcs = {}
+    for m in range(1, n + 1):
+        for h in probs.heads(m):
+            label, p = best_label(probs, h, m)
+            arcs[h, m] = (math.log(p), (m, h, probs.vocab.dep_index(label)))
+    chart = {}
+    for i in range(n + 1):
+        chart[(i, i, LEFT, COMPLETE)] = chart[(i, i, RIGHT, COMPLETE)] = [(0.0, ())]
+
+    def top_k(cands):
+        if not cands:
+            return []
+        cutoff = heapq.nlargest(k, (score for score, _, _, _ in cands))[-1]
+        kept = sorted(
+            (-score, tuple(sorted(left + right + arc)))
+            for score, left, right, arc in cands
+            if score >= cutoff and score > -math.inf
+        )
+        return [(-neg, edges) for neg, edges in kept[:k]]
+
+    for length in range(1, n + 1):
+        for i in range(n + 1 - length):
+            j = i + length
+            for direction, head, mod in ((RIGHT, i, j), (LEFT, j, i)):
+                cands = []
+                if (head, mod) in arcs:
+                    weight, arc = arcs[head, mod]
+                    for s in range(i, j):
+                        for ls, le in chart[(i, s, RIGHT, COMPLETE)]:
+                            for rs, re_ in chart[(s + 1, j, LEFT, COMPLETE)]:
+                                cands.append((weight + ls + rs, le, re_, (arc,)))
+                chart[(i, j, direction, INCOMPLETE)] = top_k(cands)
+            chart[(i, j, RIGHT, COMPLETE)] = top_k([
+                (ls + rs, le, re_, ())
+                for s in range(i + 1, j + 1)
+                for ls, le in chart[(i, s, RIGHT, INCOMPLETE)]
+                for rs, re_ in chart[(s, j, RIGHT, COMPLETE)]
+            ])
+            chart[(i, j, LEFT, COMPLETE)] = top_k([
+                (ls + rs, le, re_, ())
+                for s in range(i, j)
+                for ls, le in chart[(i, s, LEFT, COMPLETE)]
+                for rs, re_ in chart[(s, j, LEFT, INCOMPLETE)]
+            ])
+    return chart
+
+
+def _reference_kbest(probs, k):
+    """The reference chart's goal derivations as trees, sorted like ``decode_kbest``."""
+    labels = probs.vocab.dep_labels
+    trees = []
+    for _, key in _reference_chart(probs, k)[(0, probs.n, RIGHT, COMPLETE)]:
+        edges = [
+            DependencyEdge(h, labels[li], m, best_label(probs, h, m)[1]) for m, h, li in key
+        ]
+        trees.append((DependencyTree.from_edges(edges), key))
+    trees.sort(key=lambda te: (-te[0].log_score, te[1]))
+    return [tree for tree, _ in trees]
 
 
 class TestBestLabel:
@@ -192,7 +275,7 @@ class TestChartItems:
         rng = np.random.default_rng(5)
         probs = arc_grid_factory(rng, vocab5, 4)
         k = 3
-        chart = _build_chart(probs, k)
+        chart = _chart_items(_build_chart(probs, k), probs.n)
         assert chart[(0, 4, RIGHT, COMPLETE)], "goal item must be populated"
         for (i, j, direction, shape), hypotheses in chart.items():
             assert len(hypotheses) <= k
@@ -209,10 +292,33 @@ class TestChartItems:
     def test_left_incomplete_never_makes_root_a_modifier(self, vocab5, arc_grid_factory):
         rng = np.random.default_rng(6)
         probs = arc_grid_factory(rng, vocab5, 4)
-        chart = _build_chart(probs, 2)
+        chart = _chart_items(_build_chart(probs, 2), probs.n)
         for (i, j, direction, shape), hypotheses in chart.items():
             if direction == LEFT and shape == INCOMPLETE and i == 0:
                 assert hypotheses == []
+
+
+class TestFullEnumerationReference:
+    """The array chart against a chart that scores every candidate of every item."""
+
+    @pytest.mark.parametrize("k", [1, 5, 8])
+    def test_random_grids(self, vocab5, arc_grid_factory, k):
+        rng = np.random.default_rng(300 + k)
+        for trial in range(6):
+            n = int(rng.integers(10, 41))
+            probs = arc_grid_factory(rng, vocab5, n, sentence_id=f"r{trial}")
+            assert decode_kbest(probs, k) == _reference_kbest(probs, k)
+
+    def test_tied_grids_match_item_by_item(self, vocab5, tied_grid_factory):
+        rng = np.random.default_rng(41)
+        for trial in range(150):
+            n = int(rng.integers(2, 13))
+            k = int(rng.choice([1, 5, 8]))
+            probs = tied_grid_factory(rng, vocab5, n, sentence_id=f"t{trial}")
+            want = _reference_chart(probs, k)
+            got = _chart_items(_build_chart(probs, k), n)
+            assert got == {item: want.get(item, []) for item in got}
+            assert decode_kbest(probs, k) == _reference_kbest(probs, k)
 
 
 class TestMergeTrees:
@@ -304,6 +410,30 @@ class TestInjectFallback:
             inject_fallback(probs, 1.5)
         with pytest.raises(ValueError, match="more than unit mass"):
             inject_fallback(probs, 0.5)  # 3 * 0.5 > 1
+
+    def test_patched_grids_always_decode_to_valid_trees(self, vocab5, arc_grid_factory, monkeypatch):
+        reranked = []
+        rerank = _Chart._rerank
+        monkeypatch.setattr(
+            _Chart, "_rerank", lambda chart, *args: reranked.append(args) or rerank(chart, *args)
+        )
+        rng = np.random.default_rng(77)
+        for trial in range(40):
+            n = int(rng.integers(3, 21))
+            dropped = rng.choice(np.arange(1, n + 1), size=int(rng.integers(1, 4)), replace=False)
+            full = arc_grid_factory(rng, vocab5, n, sentence_id=f"f{trial}")
+            probs = ArcProbabilities(
+                full.sentence_id, n, vocab5,
+                [e for e in full.iter_entries() if e[0] not in set(dropped.tolist())],
+            )
+            assert probs.uncovered_modifiers() == sorted(dropped.tolist())
+            patched = inject_fallback(probs, float(rng.uniform(0.05, 1.0)) / n)
+            for k in (1, 5):
+                trees = decode_kbest(patched, k)
+                assert 1 <= len(trees) <= k
+                for tree in trees:
+                    assert tree.n == n and check_tree(tree) == []
+        assert reranked, "the uniform fallback candidates should produce tied rows"
 
 
 class TestStats:
