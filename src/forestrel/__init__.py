@@ -1,88 +1,3 @@
 """Dependency-forest generation and forest-based relation extraction."""
 
-from .core import (
-    ArcProbabilities,
-    DependencyEdge,
-    DependencyForest,
-    DependencyTree,
-    LabelLookupError,
-    LabelVocab,
-    NONE_RELATION,
-    RelationInstance,
-    Sentence,
-    check_tree,
-    is_well_formed_tree,
-    tree_log_score,
-    validate_instance,
-)
-from .forest import (
-    DecodingError,
-    ForestStats,
-    best_label,
-    brute_force_kbest,
-    decode_1best,
-    decode_kbest,
-    edgewise_forest,
-    forest_density,
-    forest_stats,
-    inject_fallback,
-    mention_connectivity,
-    merge_trees,
-    oracle_las,
-)
-from .encoder import (
-    Checkpoint,
-    EncoderGraph,
-    ForwardTrace,
-    ModelConfig,
-    ModelParams,
-    backward,
-    bilstm_forward,
-    build_gnn_graph,
-    compute_messages,
-    embed,
-    forward_instance,
-    grn_forward,
-    grn_step,
-    init_params,
-    load_checkpoint,
-    mention_pool,
-    save_checkpoint,
-)
-from .training import (
-    EpochRecord,
-    EvalReport,
-    OptimizerState,
-    TrainConfig,
-    TrainResult,
-    VocabMismatchError,
-    adam_step,
-    evaluate,
-    gradient_check,
-    ner_loss,
-    predict,
-    relation_loss,
-    score_predictions,
-    total_loss,
-    train,
-)
-from .dataio import (
-    CorpusLoadResult,
-    DataFormatError,
-    SynthData,
-    SynthSpec,
-    load_arc_probs,
-    load_corpus,
-    load_forests,
-    load_trees,
-    load_vocab,
-    save_arc_probs,
-    save_corpus,
-    save_trees,
-    save_vocab,
-    synth_generate,
-    synth_write,
-    write_forests,
-)
-
 __version__ = "0.1.0"

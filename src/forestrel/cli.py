@@ -118,6 +118,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _load_split(
     corpus_path: str, forests_path: str | None, vocab: LabelVocab, structure: str
 ):
+    """The split's instances, their forests (None for text-only) and its skipped record count."""
     corpus = dataio.load_corpus(corpus_path, vocab)
     for line in corpus.skipped:
         print(f"skipped: {line}", file=sys.stderr)
@@ -128,15 +129,15 @@ def _load_split(
             raise CliError(f"--structure {structure} requires a forest file")
         forest_map = dataio.load_forests(forests_path, vocab)
         forests = _aligned_lists(corpus, forest_map, "forest")
-    return instances, forests
+    return instances, forests, len(corpus.skipped)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     vocab = dataio.load_vocab(args.vocab)
-    train_instances, train_forests = _load_split(
+    train_instances, train_forests, _ = _load_split(
         args.corpus, args.forests, vocab, args.structure
     )
-    dev_instances, dev_forests = _load_split(
+    dev_instances, dev_forests, _ = _load_split(
         args.dev_corpus, args.dev_forests, vocab, args.structure
     )
     model_config = ModelConfig(
@@ -184,9 +185,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    instances, forests = _load_split(
+    instances, forests, skipped = _load_split(
         args.corpus, args.forests, checkpoint.vocab, checkpoint.structure
     )
+    # Skipped records silently shrink the recall denominator, so say how many.
+    print(f"skipped {skipped} records")
     report = training.evaluate(checkpoint, instances, forests, args.external_gold)
     print(
         f"precision {report.precision:.4f}\trecall {report.recall:.4f}\tf1 {report.f1:.4f}"
@@ -200,9 +203,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
-    instances, forests = _load_split(
+    instances, forests, skipped = _load_split(
         args.corpus, args.forests, checkpoint.vocab, checkpoint.structure
     )
+    print(f"skipped {skipped} records")
     rows = training.predict(checkpoint, instances, forests)
     with dataio.atomic_open(args.out) as fh:
         for sid, relation, prob in rows:

@@ -14,6 +14,15 @@ enter the graph.  The sums are products with a weighted head x dependent
 adjacency matrix and two label-count matrices, and their gradients are the
 transposed products.
 
+The encoder runs over chunks of consecutive instances, their words packed
+into N rows (at most ``training.CHUNK_WORDS`` unless one instance is longer);
+one instance is a chunk of one.  The BiLSTM pads the B sentences to the
+longest, left-aligned; the right-to-left LSTM reads each sentence reversed in
+place, so padding trails in both directions and never feeds a real step.
+The graph update runs on the N rows over the block-diagonal union of the
+graphs, and mention pooling is one product with a ``(2B, N)`` matrix.
+Dropout masks are drawn per instance in chunk order: embedding, then mention.
+
 The sequence LSTMs and the graph update share one gated cell (``_cell`` and
 ``_cell_backward``) and one weight layout: a matrix whose row blocks are the
 gates in ``_CELL_ORDER`` plus a bias of the same height.  The graph update's
@@ -22,7 +31,8 @@ gates in ``_CELL_ORDER`` plus a bias of the same height.  The graph update's
 Everything is float64 numpy.  ``backward`` consumes the trace recorded by
 ``forward_instance`` and adds exact reverse-mode gradients for every parameter
 tensor into a caller's buffer.  Every sum is a fixed sequence of numpy
-products, so equal inputs reproduce bitwise-equal outputs.
+products, so equal inputs reproduce bitwise-equal outputs; a different
+chunking of the same instances reassociates the sums.
 """
 
 from __future__ import annotations
@@ -30,8 +40,8 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
-from typing import Iterable
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -176,6 +186,18 @@ def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph
     return EncoderGraph(forest.n, edges, np.array([e.prob for e in arcs], dtype=np.float64))
 
 
+def _chunk_graph(graphs: Sequence[EncoderGraph]) -> EncoderGraph:
+    """The block-diagonal union of a chunk's graphs over its packed word rows:
+    each graph's words are shifted by the words of the graphs before it."""
+    offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
+    edges = [g.edges + (offset, offset, 0) for g, offset in zip(graphs, offsets)]
+    return EncoderGraph(
+        sum(g.n for g in graphs),
+        np.concatenate(edges).reshape(-1, 3),
+        np.concatenate([g.probs for g in graphs]),
+    )
+
+
 def _graph_operators(
     graph: EncoderGraph, weighted: bool, num_labels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,11 +241,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def embed(params: ModelParams, token_ids: np.ndarray) -> np.ndarray:
-    """Row lookup into the word embedding table (ids already UNK-resolved)."""
-    return params["word_emb"][token_ids]
-
-
 @dataclass
 class _CellCache:
     """One gated-cell update: the activated gates stacked on the last axis in
@@ -238,7 +255,7 @@ def _cell(z: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, _CellCache]:
     """The LSTM-style gated update shared by the sequence LSTMs and the graph.
 
     ``z`` stacks the pre-activations in ``_CELL_ORDER`` on its last axis, for
-    one vector or for a row per word:  c = forget * c_prev + in * cand and
+    any number of leading axes:  c = forget * c_prev + in * cand and
     h = out * tanh(c).
     """
     d = c_prev.shape[-1]
@@ -270,78 +287,106 @@ def _cell_backward(
     return dz, dc * gf
 
 
+# The sequence LSTMs in the order of the leading direction axis of
+# ``_LstmCache``: ``lstm_l`` reads each sentence right to left, ``lstm_r``
+# left to right; a word's state row is their concatenation in this order.
+_DIRECTIONS = ("lstm_l", "lstm_r")
+
+
 @dataclass
 class _LstmCache:
+    """Both sequence LSTMs over a chunk, in a padded ``(2, B, T)`` layout.
+
+    Direction ``d`` reads sentence ``b`` along row ``(d, b)``, left-aligned
+    and padded to the longest sentence, ``lstm_l`` reversed in place, so
+    padding trails and never feeds a real step.  ``rows[d]`` maps each packed
+    word to its flat index in that layout.
+    """
+
     x: np.ndarray
+    rows: np.ndarray
     cells: list[_CellCache]
     hidden: np.ndarray
-    reverse: bool
-
-
-def _lstm_forward(
-    wx: np.ndarray, wh: np.ndarray, b: np.ndarray, inputs: np.ndarray, reverse: bool
-) -> _LstmCache:
-    n = inputs.shape[0]
-    dr = wh.shape[1]
-    cells: list[_CellCache] = [None] * n  # type: ignore[list-item]
-    hidden = np.empty((n, dr))
-    h = np.zeros(dr)
-    c = np.zeros(dr)
-    for t in range(n - 1, -1, -1) if reverse else range(n):
-        h, cells[t] = _cell(wx @ inputs[t] + wh @ h + b, c)
-        c = cells[t].c
-        hidden[t] = h
-    return _LstmCache(inputs, cells, hidden, reverse)
-
-
-def _lstm_backward(
-    params: ModelParams,
-    grads: dict[str, np.ndarray],
-    prefix: str,
-    cache: _LstmCache,
-    d_hidden: np.ndarray,
-) -> np.ndarray:
-    """Add the weight gradients of LSTM ``prefix`` into ``grads`` and return
-    the gradient of its inputs."""
-    wx, wh = params[f"{prefix}.Wx"], params[f"{prefix}.Wh"]
-    n, dr = cache.hidden.shape
-    dzs = np.empty((n, 4 * dr))
-    dh_carry = np.zeros(dr)
-    dc = np.zeros(dr)
-    for t in range(n) if cache.reverse else range(n - 1, -1, -1):
-        dzs[t], dc = _cell_backward(cache.cells[t], d_hidden[t] + dh_carry, dc)
-        dh_carry = dzs[t] @ wh
-    # Row t: the hidden state step t read (zeros for the first step).
-    padded = np.pad(cache.hidden, ((1, 1), (0, 0)))
-    h_prev = padded[2:] if cache.reverse else padded[:-2]
-    grads[f"{prefix}.Wx"] += dzs.T @ cache.x
-    grads[f"{prefix}.Wh"] += dzs.T @ h_prev
-    grads[f"{prefix}.b"] += dzs.sum(axis=0)
-    return dzs @ wx
 
 
 def bilstm_forward(
-    params: ModelParams, emb: np.ndarray
-) -> tuple[np.ndarray, _LstmCache, _LstmCache]:
-    """Run both directions over the embedded sentence.
+    params: ModelParams, emb: np.ndarray, lengths: Sequence[int]
+) -> tuple[np.ndarray, _LstmCache]:
+    """Run both directions over a chunk's packed embedded sentences.
 
-    Returns the per-position concatenation [right-to-left state; left-to-right
-    state] plus the two direction caches.
+    ``emb`` stacks the sentences' word rows and ``lengths`` gives their word
+    counts.  Each direction's input projection is one product before the
+    recurrence; the time loop steps both directions of every sentence at
+    once.  Returns the per-word concatenation [right-to-left state;
+    left-to-right state] and the cache.
     """
-    left = _lstm_forward(
-        params["lstm_l.Wx"], params["lstm_l.Wh"], params["lstm_l.b"], emb, reverse=True
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, t_max, dr = len(lengths), int(lengths.max()), params["lstm_l.Wh"].shape[1]
+    sentence = np.repeat(np.arange(b), lengths)
+    pos = np.arange(len(sentence)) - (np.cumsum(lengths) - lengths)[sentence]
+    rows = np.stack(
+        [sentence * t_max + lengths[sentence] - 1 - pos, (b + sentence) * t_max + pos]
     )
-    right = _lstm_forward(
-        params["lstm_r.Wx"], params["lstm_r.Wh"], params["lstm_r.b"], emb, reverse=False
+    zx = np.zeros((2 * b * t_max, 4 * dr))
+    for d, name in enumerate(_DIRECTIONS):
+        zx[rows[d]] = emb @ params[f"{name}.Wx"].T + params[f"{name}.b"]
+    zx = zx.reshape(2, b, t_max, 4 * dr)
+    wh = np.stack([params[f"{name}.Wh"] for name in _DIRECTIONS])
+    hidden = np.empty((2, b, t_max, dr))
+    cells: list[_CellCache] = []
+    h = c = np.zeros((2, b, dr))
+    for t in range(t_max):
+        h, cell = _cell(zx[:, :, t] + h @ wh.transpose(0, 2, 1), c)
+        c = cell.c
+        hidden[:, :, t] = h
+        cells.append(cell)
+    flat = hidden.reshape(-1, dr)
+    return np.concatenate([flat[rows[0]], flat[rows[1]]], axis=1), _LstmCache(
+        emb, rows, cells, hidden
     )
-    return np.concatenate([left.hidden, right.hidden], axis=1), left, right
+
+
+def _bilstm_backward(
+    params: ModelParams,
+    grads: dict[str, np.ndarray],
+    cache: _LstmCache,
+    d_states: np.ndarray,
+) -> np.ndarray:
+    """Add both LSTMs' weight gradients into ``grads`` and return the
+    gradient of their packed inputs.
+
+    Padded steps get a zero state gradient and come after every real step
+    of their row, so their ``dz`` is exactly zero and reaches no real step.
+    """
+    _, b, t_max, dr = cache.hidden.shape
+    d_hidden = np.zeros((2 * b * t_max, dr))
+    d_hidden[cache.rows[0]] = d_states[:, :dr]
+    d_hidden[cache.rows[1]] = d_states[:, dr:]
+    d_hidden = d_hidden.reshape(2, b, t_max, dr)
+    wh = np.stack([params[f"{name}.Wh"] for name in _DIRECTIONS])
+    dzs = np.empty((2, b, t_max, 4 * dr))
+    dh_carry = dc = np.zeros((2, b, dr))
+    for t in range(t_max - 1, -1, -1):
+        dzs[:, :, t], dc = _cell_backward(cache.cells[t], d_hidden[:, :, t] + dh_carry, dc)
+        dh_carry = dzs[:, :, t] @ wh
+    # The hidden state each step read: zeros before the first step.
+    h_prev = np.zeros_like(cache.hidden)
+    h_prev[:, :, 1:] = cache.hidden[:, :, :-1]
+    dzs, h_prev = dzs.reshape(-1, 4 * dr), h_prev.reshape(-1, dr)
+    d_emb = 0.0
+    for d, name in enumerate(_DIRECTIONS):
+        dz = dzs[cache.rows[d]]
+        grads[f"{name}.Wx"] += dz.T @ cache.x
+        grads[f"{name}.Wh"] += dz.T @ h_prev[cache.rows[d]]
+        grads[f"{name}.b"] += dz.sum(axis=0)
+        d_emb = d_emb + dz @ params[f"{name}.Wx"]
+    return d_emb
 
 
 def compute_messages(
     h_states: np.ndarray,
     label_emb: np.ndarray,
-    graph: EncoderGraph,
-    weighted: bool,
+    operators: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Per-word sums of incoming messages, one row per word:
     ``[dependent message | head message]``.
@@ -352,7 +397,7 @@ def compute_messages(
     adjacency and label-count matrices of ``_graph_operators``, a fixed
     computation for a given graph, so the sums are bitwise reproducible.
     """
-    adj, dep_labels, head_labels = _graph_operators(graph, weighted, label_emb.shape[0] // 2)
+    adj, dep_labels, head_labels = operators
     return np.concatenate(
         [adj @ h_states, dep_labels @ label_emb, adj.T @ h_states, head_labels @ label_emb],
         axis=1,
@@ -376,9 +421,8 @@ def grn_step(
 def grn_forward(
     params: ModelParams,
     h0: np.ndarray,
-    graph: EncoderGraph,
+    operators: tuple[np.ndarray, np.ndarray, np.ndarray],
     steps: int,
-    weighted: bool,
 ) -> tuple[np.ndarray, list[GrnStepCache]]:
     """Iterate the graph update ``steps`` times from zero cells.
 
@@ -388,113 +432,125 @@ def grn_forward(
     c = np.zeros_like(h0)
     caches: list[GrnStepCache] = []
     for _ in range(steps):
-        m = compute_messages(h, params["label_emb"], graph, weighted)
+        m = compute_messages(h, params["label_emb"], operators)
         h, cache = grn_step(params, c, m)
         c = cache.cell.c
         caches.append(cache)
     return h, caches
 
 
-def mention_pool(h_states: np.ndarray, span: tuple[int, int]) -> np.ndarray:
-    """Mean of the state rows covered by a half-open 1-based span."""
-    start, end = span
-    if not (1 <= start < end <= h_states.shape[0] + 1):
-        raise ValueError(f"span [{start}, {end}) invalid for {h_states.shape[0]} positions")
-    return h_states[start - 1 : end - 1].mean(axis=0)
+def mention_pool(
+    lengths: Sequence[int],
+    span1: Sequence[tuple[int, int]],
+    span2: Sequence[tuple[int, int]],
+) -> np.ndarray:
+    """The ``(2B, N)`` matrix whose rows average mention spans over a chunk's
+    packed state rows: row ``2i`` the first mention of sentence ``i``, row
+    ``2i + 1`` its second (half-open, 1-based within their sentence)."""
+    pool = np.zeros((2 * len(lengths), int(sum(lengths))))
+    offset = 0
+    for i, (n, spans) in enumerate(zip(lengths, zip(span1, span2))):
+        for j, (start, end) in enumerate(spans):
+            if not (1 <= start < end <= n + 1):
+                raise ValueError(f"span [{start}, {end}) invalid for {n} positions")
+            pool[2 * i + j, offset + start - 1 : offset + end - 1] = 1.0 / (end - start)
+        offset += n
+    return pool
 
 
 @dataclass
 class ForwardTrace:
-    """Everything ``backward`` needs to replay one instance exactly."""
+    """Everything ``backward`` needs to replay one chunk exactly.  Word-level
+    arrays hold the chunk's N words packed sentence after sentence;
+    instance-level arrays have one row per sentence."""
 
     token_ids: np.ndarray
-    span1: tuple[int, int]
-    span2: tuple[int, int]
+    pool: np.ndarray
     graph: EncoderGraph | None
-    weighted: bool
-    emb: np.ndarray
+    operators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False)
     emb_mask: np.ndarray | None
-    lstm_left: _LstmCache = field(repr=False)
-    lstm_right: _LstmCache = field(repr=False)
+    lstm: _LstmCache = field(repr=False)
     h0: np.ndarray
     grn_caches: list[GrnStepCache] = field(repr=False)
     h_final: np.ndarray
-    pooled: np.ndarray
     pooled_mask: np.ndarray | None
     pooled_dropped: np.ndarray
     rel_logits: np.ndarray
-    rel_log_probs: np.ndarray
     rel_probs: np.ndarray
     ner_logits: np.ndarray | None
-    ner_log_probs: np.ndarray | None
-    ner_probs: np.ndarray | None
 
 
 def forward_instance(
     params: ModelParams,
     config: ModelConfig,
-    token_ids: np.ndarray,
-    span1: tuple[int, int],
-    span2: tuple[int, int],
-    graph: EncoderGraph | None,
+    token_ids: np.ndarray | Sequence[np.ndarray],
+    span1: tuple[int, int] | Sequence[tuple[int, int]],
+    span2: tuple[int, int] | Sequence[tuple[int, int]],
+    graph: EncoderGraph | Sequence[EncoderGraph] | None,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Full forward pass over one instance.
+    """Full forward pass over one instance or over a chunk of instances.
+
+    A chunk passes one sequence per argument (token ids, spans, graphs), an
+    entry per instance; one instance runs as a chunk of one.  ``rel_logits``
+    has a row per instance, ``h_final`` and ``ner_logits`` a row per word.
 
     ``graph=None`` selects the text-only path: mention pooling and the NER head
     read the sequence states directly and the graph update is skipped entirely.
     Inverted dropout is applied to the word embeddings and to the concatenated
-    mention vector only when ``train`` is true (``rng`` required then).
+    mention vector only when ``train`` is true (``rng`` required then).  Per
+    instance in chunk order, the embedding mask ``(n, dim_word)`` is drawn and
+    then the mention mask ``(2 * dim_state,)``, as one instance at a time would.
     """
-    token_ids = np.asarray(token_ids, dtype=np.int64)
+    if np.ndim(span1) == 1:
+        token_ids, span1, span2 = [token_ids], [span1], [span2]
+        graph = None if graph is None else [graph]
     use_dropout = train and config.dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
-    emb = embed(params, token_ids)
-    emb_mask = None
+    lengths = [len(ids) for ids in token_ids]
+    pool = mention_pool(lengths, span1, span2)
+    ids = np.concatenate([np.asarray(t, dtype=np.int64) for t in token_ids])
+    emb = params["word_emb"][ids]
+    emb_mask = pooled_mask = None
     if use_dropout:
         keep = 1.0 - config.dropout
-        emb_mask = (rng.random(emb.shape) < keep) / keep
+        masks = [
+            ((rng.random((n, config.dim_word)) < keep) / keep,
+             (rng.random(2 * config.dim_state) < keep) / keep)
+            for n in lengths
+        ]
+        emb_mask = np.concatenate([emb_m for emb_m, _ in masks])
+        pooled_mask = np.stack([pooled_m for _, pooled_m in masks])
         emb = emb * emb_mask
-    h0, lstm_left, lstm_right = bilstm_forward(params, emb)
+    h0, lstm = bilstm_forward(params, emb, lengths)
+    h_final, grn_caches, operators = h0, [], None
     if graph is not None:
-        h_final, grn_caches = grn_forward(params, h0, graph, config.steps, config.weighted)
-    else:
-        h_final, grn_caches = h0, []
-    pooled = np.concatenate([mention_pool(h_final, span1), mention_pool(h_final, span2)])
-    pooled_mask = None
-    pooled_dropped = pooled
-    if use_dropout:
-        keep = 1.0 - config.dropout
-        pooled_mask = (rng.random(pooled.shape) < keep) / keep
-        pooled_dropped = pooled * pooled_mask
-    rel_logits = params["cls.W"] @ pooled_dropped + params["cls.b"]
+        graph = _chunk_graph(graph)
+        operators = _graph_operators(graph, config.weighted, params["label_emb"].shape[0] // 2)
+        h_final, grn_caches = grn_forward(params, h0, operators, config.steps)
+    pooled = (pool @ h_final).reshape(len(lengths), -1)
+    pooled_dropped = pooled if pooled_mask is None else pooled * pooled_mask
+    rel_logits = pooled_dropped @ params["cls.W"].T + params["cls.b"]
     ner_logits = None
     if config.ner_head:
         ner_logits = h_final @ params["ner.W"].T + params["ner.b"]
     return ForwardTrace(
-        token_ids=token_ids,
-        span1=tuple(span1),
-        span2=tuple(span2),
+        token_ids=ids,
+        pool=pool,
         graph=graph,
-        weighted=config.weighted,
-        emb=emb,
+        operators=operators,
         emb_mask=emb_mask,
-        lstm_left=lstm_left,
-        lstm_right=lstm_right,
+        lstm=lstm,
         h0=h0,
         grn_caches=grn_caches,
         h_final=h_final,
-        pooled=pooled,
         pooled_mask=pooled_mask,
         pooled_dropped=pooled_dropped,
         rel_logits=rel_logits,
-        rel_log_probs=log_softmax(rel_logits),
         rel_probs=softmax(rel_logits),
         ner_logits=ner_logits,
-        ner_log_probs=None if ner_logits is None else log_softmax(ner_logits),
-        ner_probs=None if ner_logits is None else softmax(ner_logits),
     )
 
 
@@ -507,58 +563,44 @@ def backward(
     d_ner_logits: np.ndarray | None = None,
 ) -> None:
     """Add the exact gradients of every parameter, given loss seeds on the
-    head logits, into ``grads`` (one array per parameter, e.g. a batch sum).
+    head logits (shaped like ``trace.rel_logits`` and ``trace.ner_logits``),
+    into ``grads`` (one array per parameter, e.g. a batch sum).
 
     Zero seeds add nothing.  Arc probabilities used as message weights are
     constants and never receive a gradient.
     """
     ds = config.dim_state
-    dr = config.dim_hidden
 
-    grads["cls.W"] += np.outer(d_rel_logits, trace.pooled_dropped)
-    grads["cls.b"] += d_rel_logits
+    grads["cls.W"] += d_rel_logits.T @ trace.pooled_dropped
+    grads["cls.b"] += d_rel_logits.sum(axis=0)
     d_pooled = d_rel_logits @ params["cls.W"]
     if trace.pooled_mask is not None:
         d_pooled = d_pooled * trace.pooled_mask
-
-    n = trace.h_final.shape[0]
-    d_h_final = np.zeros((n, ds))
-    s1, e1 = trace.span1
-    s2, e2 = trace.span2
-    d_h_final[s1 - 1 : e1 - 1] += d_pooled[:ds] / (e1 - s1)
-    d_h_final[s2 - 1 : e2 - 1] += d_pooled[ds:] / (e2 - s2)
+    dh = trace.pool.T @ d_pooled.reshape(-1, ds)
 
     if d_ner_logits is not None:
         if "ner.W" not in params:
             raise ValueError("NER loss seed given but the model has no NER head")
         grads["ner.W"] += d_ner_logits.T @ trace.h_final
         grads["ner.b"] += d_ner_logits.sum(axis=0)
-        d_h_final = d_h_final + d_ner_logits @ params["ner.W"]
+        dh = dh + d_ner_logits @ params["ner.W"]
 
-    dh = d_h_final
-    if trace.graph is not None and trace.grn_caches:
+    if trace.grn_caches:
         w_grn = params["grn.W"]
         half = w_grn.shape[1] // 2
         dc = np.zeros_like(dh)
         d_label = grads["label_emb"]
-        adj, dep_labels, head_labels = _graph_operators(
-            trace.graph, trace.weighted, d_label.shape[0] // 2
-        )
-        caches = trace.grn_caches[::-1]
-        dzs = []
-        for cache in caches:
+        adj, dep_labels, head_labels = trace.operators
+        for cache in reversed(trace.grn_caches):
             dz, dc = _cell_backward(cache.cell, dh, dc)
-            dzs.append(dz)
+            grads["grn.W"] += dz.T @ cache.m
+            grads["grn.b"] += dz.sum(axis=0)
             d_m = dz @ w_grn
             d_dep, d_head = d_m[:, :half], d_m[:, half:]
             dh = adj.T @ d_dep[:, :ds] + adj @ d_head[:, :ds]
             d_label += dep_labels.T @ d_dep[:, ds:] + head_labels.T @ d_head[:, ds:]
-        dz_all = np.concatenate(dzs)
-        grads["grn.W"] += dz_all.T @ np.concatenate([cache.m for cache in caches])
-        grads["grn.b"] += dz_all.sum(axis=0)
 
-    d_emb = _lstm_backward(params, grads, "lstm_l", trace.lstm_left, dh[:, :dr])
-    d_emb += _lstm_backward(params, grads, "lstm_r", trace.lstm_right, dh[:, dr:])
+    d_emb = _bilstm_backward(params, grads, trace.lstm, dh)
     if trace.emb_mask is not None:
         d_emb = d_emb * trace.emb_mask
     np.add.at(grads["word_emb"], trace.token_ids, d_emb)
@@ -610,16 +652,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         }
     payload = {
         "format": _CHECKPOINT_FORMAT,
-        "config": {
-            "dim_word": ckpt.config.dim_word,
-            "dim_label": ckpt.config.dim_label,
-            "dim_hidden": ckpt.config.dim_hidden,
-            "steps": ckpt.config.steps,
-            "dropout": ckpt.config.dropout,
-            "weighted": ckpt.config.weighted,
-            "ner_head": ckpt.config.ner_head,
-            "seed": ckpt.config.seed,
-        },
+        "config": asdict(ckpt.config),
         "structure": ckpt.structure,
         "vocab": {
             "dep_labels": list(ckpt.vocab.dep_labels),

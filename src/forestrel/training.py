@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .core import (
 from .encoder import (
     Checkpoint,
     EncoderGraph,
+    ForwardTrace,
     ModelConfig,
     ModelParams,
     STRUCTURES,
@@ -275,28 +277,76 @@ def _encode_instances(
     return encoded
 
 
-def _instance_loss(
+# Word budget of a chunk: consecutive instances run through one encoder
+# forward and backward until the next would take the chunk past it.
+CHUNK_WORDS = 64
+
+
+def _chunks(encoded: Sequence[_Encoded]) -> Iterator[list[_Encoded]]:
+    """Split ``encoded`` in order into chunks of at most ``CHUNK_WORDS`` words;
+    an instance longer than the budget is a chunk by itself."""
+    chunk: list[_Encoded] = []
+    words = 0
+    for enc in encoded:
+        n = len(enc.token_ids)
+        if chunk and words + n > CHUNK_WORDS:
+            yield chunk
+            chunk, words = [], 0
+        chunk.append(enc)
+        words += n
+    if chunk:
+        yield chunk
+
+
+def _forward_chunk(
     params: ModelParams,
     config: ModelConfig,
-    enc: _Encoded,
+    chunk: Sequence[_Encoded],
+    train: bool,
+    rng: np.random.Generator | None,
+) -> ForwardTrace:
+    instances = ([enc.token_ids for enc in chunk], [enc.span1 for enc in chunk],
+                 [enc.span2 for enc in chunk])
+    graphs = None if chunk[0].graph is None else [enc.graph for enc in chunk]
+    return forward_instance(params, config, *instances, graphs, train=train, rng=rng)
+
+
+def _loss_and_seeds(
+    trace: ForwardTrace, chunk: Sequence[_Encoded], use_ner: bool
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """The summed loss of the chunk's instances and its seeds on the head logits."""
+    d_rel = np.empty_like(trace.rel_logits)
+    d_ner = np.empty_like(trace.ner_logits) if use_ner else None
+    total = 0.0
+    offset = 0
+    for i, enc in enumerate(chunk):
+        l_rel = relation_loss(trace.rel_logits[i], enc.relation_index)
+        d_rel[i] = relation_loss_grad(trace.rel_logits[i], enc.relation_index)
+        l_ner = None
+        if use_ner:
+            words = slice(offset, offset + len(enc.token_ids))
+            l_ner = ner_loss(trace.ner_logits[words], enc.tag_indices)
+            d_ner[words] = ner_loss_grad(trace.ner_logits[words], enc.tag_indices)
+            offset = words.stop
+        total += total_loss(l_rel, l_ner, use_ner)
+    return total, d_rel, d_ner
+
+
+def _chunk_loss(
+    params: ModelParams,
+    config: ModelConfig,
+    chunk: Sequence[_Encoded],
     use_ner: bool,
     grads: dict[str, np.ndarray],
     train: bool,
     rng: np.random.Generator | None,
 ) -> float:
-    """The instance's loss; its gradients are added into ``grads``."""
-    trace = forward_instance(
-        params, config, enc.token_ids, enc.span1, enc.span2, enc.graph, train=train, rng=rng
-    )
-    l_rel = relation_loss(trace.rel_logits, enc.relation_index)
-    d_rel = relation_loss_grad(trace.rel_logits, enc.relation_index)
-    d_ner = None
-    l_ner = None
-    if use_ner:
-        l_ner = ner_loss(trace.ner_logits, enc.tag_indices)
-        d_ner = ner_loss_grad(trace.ner_logits, enc.tag_indices)
+    """The summed loss of the chunk's instances; their gradients are added
+    into ``grads``."""
+    trace = _forward_chunk(params, config, chunk, train, rng)
+    total, d_rel, d_ner = _loss_and_seeds(trace, chunk, use_ner)
     backward(params, config, trace, grads, d_rel, d_ner)
-    return total_loss(l_rel, l_ner, use_ner)
+    return total
 
 
 def _build_words(instances: Sequence[RelationInstance]) -> tuple[str, ...]:
@@ -315,6 +365,13 @@ def train(
     structure: str,
 ) -> TrainResult:
     """Train with Adam and early stopping on dev F1.
+
+    Each minibatch is split into chunks of at most ``CHUNK_WORDS`` words;
+    every chunk adds its gradients into the batch's buffer and Adam steps
+    once per minibatch.  Dropout masks come from one stream in instance
+    order: for each instance of the shuffled epoch, its embedding mask
+    ``(n, dim_word)`` and then its mention mask ``(2 * dim_state,)``, so the
+    masks do not depend on the chunk boundaries.
 
     The checkpoint with the best dev F1 (earliest epoch on ties) is returned;
     training stops once ``patience`` epochs pass without improvement.
@@ -347,17 +404,21 @@ def train(
     best_f1 = -1.0
     best_epoch = 0
     best_params = params.copy()
+    # One buffer zeroed per minibatch: a new one per minibatch, allocated among
+    # the chunks' arrays, fragments the heap and peak RSS grows run by run.
+    acc = params.zero_grads()
     for epoch in range(1, train_config.epochs + 1):
         order = shuffle_rng.permutation(len(train_enc))
         loss_sum = 0.0
         for lo in range(0, len(order), train_config.batch_size):
-            batch = order[lo : lo + train_config.batch_size]
-            acc = params.zero_grads()
-            for idx in batch:
-                loss_sum += _instance_loss(
+            batch = [train_enc[idx] for idx in order[lo : lo + train_config.batch_size]]
+            for g in acc.values():
+                g.fill(0.0)
+            for chunk in _chunks(batch):
+                loss_sum += _chunk_loss(
                     params,
                     model_config,
-                    train_enc[idx],
+                    chunk,
                     train_config.use_ner_loss,
                     acc,
                     train=True,
@@ -386,15 +447,12 @@ def train(
 def _argmax_relations(
     params: ModelParams, config: ModelConfig, encoded: Sequence[_Encoded]
 ) -> list[tuple[int, float]]:
-    """Eval-mode forward pass per instance: the most probable relation index
-    and its probability."""
+    """Eval-mode forward pass over chunks in input order: per instance, the
+    most probable relation index and its probability."""
     out = []
-    for enc in encoded:
-        trace = forward_instance(
-            params, config, enc.token_ids, enc.span1, enc.span2, enc.graph, train=False
-        )
-        ridx = int(np.argmax(trace.rel_probs))
-        out.append((ridx, float(trace.rel_probs[ridx])))
+    for chunk in _chunks(encoded):
+        probs = _forward_chunk(params, config, chunk, train=False, rng=None).rel_probs
+        out.extend((int(ridx), float(row[ridx])) for ridx, row in zip(probs.argmax(axis=1), probs))
     return out
 
 
@@ -535,64 +593,51 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]
     finite-difference noise on near-zero gradients is judged absolutely.
     """
     vocab, instance, tree, forest, _ = _gradcheck_fixture(seed)
-    words = _build_words([instance])
+    return _gradient_check_chunk(vocab, [instance], [tree], [forest], seed, step)
+
+
+def _gradient_check_chunk(
+    vocab: LabelVocab,
+    instances: Sequence[RelationInstance],
+    trees: Sequence[DependencyForest],
+    forests: Sequence[DependencyForest],
+    seed: int,
+    step: float,
+) -> list[tuple[str, float]]:
+    """``gradient_check`` over one chunk made of ``instances``, whose graphs
+    are ``trees`` or ``forests`` by structure."""
+    words = _build_words(instances)
     word_index = build_word_index(words)
     results: list[tuple[str, float]] = []
-    for structure in STRUCTURES:
-        for weighted in (False, True):
-            for use_ner in (False, True):
-                config = ModelConfig(
-                    dim_word=3,
-                    dim_label=3,
-                    dim_hidden=4,
-                    steps=2,
-                    dropout=0.0,
-                    weighted=weighted,
-                    ner_head=use_ner,
-                    seed=seed,
-                )
-                forests = None
-                if structure == "tree":
-                    forests = [tree]
-                elif structure == "forest":
-                    forests = [forest]
-                enc = _encode_instances(
-                    [instance], forests, vocab, word_index, structure, use_ner
-                )[0]
-                params = init_params(config, vocab, len(words))
+    for structure, weighted, use_ner in product(STRUCTURES, (False, True), (False, True)):
+        config = ModelConfig(
+            dim_word=3, dim_label=3, dim_hidden=4, steps=2, dropout=0.0,
+            weighted=weighted, ner_head=use_ner, seed=seed,
+        )
+        graphs = {"textonly": None, "tree": trees, "forest": forests}[structure]
+        chunk = _encode_instances(instances, graphs, vocab, word_index, structure, use_ner)
+        params = init_params(config, vocab, len(words))
 
-                def loss_value() -> float:
-                    trace = forward_instance(
-                        params, config, enc.token_ids, enc.span1, enc.span2, enc.graph
-                    )
-                    l_rel = relation_loss(trace.rel_logits, enc.relation_index)
-                    l_ner = (
-                        ner_loss(trace.ner_logits, enc.tag_indices) if use_ner else None
-                    )
-                    return total_loss(l_rel, l_ner, use_ner)
+        def loss_value() -> float:
+            trace = _forward_chunk(params, config, chunk, train=False, rng=None)
+            return _loss_and_seeds(trace, chunk, use_ner)[0]
 
-                grads = params.zero_grads()
-                _instance_loss(params, config, enc, use_ner, grads, train=False, rng=None)
-                worst = 0.0
-                for name, tensor in params.items():
-                    flat = tensor.reshape(-1)
-                    for i in range(flat.size):
-                        orig = flat[i]
-                        flat[i] = orig + step
-                        up = loss_value()
-                        flat[i] = orig - step
-                        down = loss_value()
-                        flat[i] = orig
-                        numeric = (up - down) / (2.0 * step)
-                        analytic = grads[name].reshape(-1)[i]
-                        err = abs(analytic - numeric) / max(
-                            abs(analytic), abs(numeric), 1e-4
-                        )
-                        worst = max(worst, err)
-                results.append(
-                    (
-                        f"structure={structure} weighted={int(weighted)} ner={int(use_ner)}",
-                        worst,
-                    )
-                )
+        grads = params.zero_grads()
+        _chunk_loss(params, config, chunk, use_ner, grads, train=False, rng=None)
+        worst = 0.0
+        for name, tensor in params.items():
+            flat = tensor.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + step
+                up = loss_value()
+                flat[i] = orig - step
+                down = loss_value()
+                flat[i] = orig
+                numeric = (up - down) / (2.0 * step)
+                analytic = grads[name].reshape(-1)[i]
+                err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
+                worst = max(worst, err)
+        label = f"structure={structure} weighted={int(weighted)} ner={int(use_ner)}"
+        results.append((label, worst))
     return results

@@ -207,6 +207,32 @@ class TestTrainEvalPredict:
         out = capsys.readouterr().out
         assert "recall_denominator 500" in out
 
+    def test_eval_and_predict_report_skipped_records(self, synth_dir, tmp_path, capsys):
+        forests = _make_forests(synth_dir, extra=("--algo", "edgewise", "--gamma", "0.2"))
+        ckpt = tmp_path / "model.json"
+        assert self._train(synth_dir, forests, ckpt, tmp_path / "m.tsv") == 0
+        lines = (synth_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        bad_span = json.loads(lines[0])
+        bad_span["mention1"] = {"start": 0, "end": 1}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "\n".join([lines[0], "{not json", *lines[1:], json.dumps(bad_span)]) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        common = ["--checkpoint", str(ckpt), "--corpus", str(corpus), "--forests", str(forests)]
+        assert main(["eval", *common]) == 0
+        captured = capsys.readouterr()
+        assert "skipped 2 records" in captured.out.splitlines()
+        assert captured.err.count("skipped: ") == 2
+        pred_path = tmp_path / "pred.jsonl"
+        assert main(["predict", *common, "--out", str(pred_path)]) == 0
+        assert "skipped 2 records" in capsys.readouterr().out.splitlines()
+        assert len(pred_path.read_text(encoding="utf-8").splitlines()) == 12
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(synth_dir / "corpus.jsonl"), "--forests", str(forests)]) == 0
+        assert "skipped 0 records" in capsys.readouterr().out.splitlines()
+
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):

@@ -17,7 +17,6 @@ from forestrel.encoder import (
     ModelParams,
     _CELL_ORDER,
     _graph_operators,
-    _lstm_forward,
     _sigmoid,
     backward,
     bilstm_forward,
@@ -31,6 +30,7 @@ from forestrel.encoder import (
     grn_step,
     init_params,
     load_checkpoint,
+    log_softmax,
     mention_pool,
     save_checkpoint,
     softmax,
@@ -98,6 +98,14 @@ class TestInitParams:
             assert np.array_equal(a[name], b[name])
 
 
+def _shared_lstm_params(wx, wh, b):
+    # Both directions get the same weights.
+    return ModelParams(
+        {f"{name}.{key}": value for name in ("lstm_l", "lstm_r")
+         for key, value in (("Wx", wx), ("Wh", wh), ("b", b))}
+    )
+
+
 class TestLstmOracle:
     def test_matches_scalar_recurrence(self):
         # One-dimensional LSTM, two steps, worked by hand with scalar math.
@@ -105,7 +113,7 @@ class TestLstmOracle:
         wh = np.array([[0.1], [-0.2], [0.3], [0.4]])
         b = np.array([0.05, -0.05, 0.0, 0.1])
         inputs = np.array([[1.0], [-2.0]])
-        cache = _lstm_forward(wx, wh, b, inputs, reverse=False)
+        h0, cache = bilstm_forward(_shared_lstm_params(wx, wh, b), inputs, [2])
 
         h = c = 0.0
         expected_h, expected_c = [], []
@@ -118,21 +126,26 @@ class TestLstmOracle:
             h = go * math.tanh(c)
             expected_c.append(c)
             expected_h.append(h)
-        np.testing.assert_allclose([cell.c[0] for cell in cache.cells], expected_c, rtol=1e-12)
-        np.testing.assert_allclose(cache.hidden[:, 0], expected_h, rtol=1e-12)
+        # the left-to-right direction: axis 0 index 1, sentence 0, unit 0
+        np.testing.assert_allclose(
+            [cell.c[1, 0, 0] for cell in cache.cells], expected_c, rtol=1e-12
+        )
+        np.testing.assert_allclose(h0[:, 1], expected_h, rtol=1e-12)
 
     def test_reverse_processes_right_to_left(self):
         wx = np.array([[0.5], [0.4], [0.3], [0.2]])
         wh = np.array([[0.1], [-0.2], [0.3], [0.4]])
         b = np.zeros(4)
         inputs = np.array([[1.0], [-2.0], [0.5]])
-        rev = _lstm_forward(wx, wh, b, inputs, reverse=True)
-        fwd = _lstm_forward(wx, wh, b, inputs[::-1].copy(), reverse=False)
+        params = _shared_lstm_params(wx, wh, b)
+        h0, rev = bilstm_forward(params, inputs, [3])
+        h0_flipped, fwd = bilstm_forward(params, inputs[::-1].copy(), [3])
         # position t of the reverse pass equals position n-1-t of the forward
-        # pass over the flipped sequence, bit for bit
-        assert np.array_equal(rev.hidden, fwd.hidden[::-1])
+        # pass over the flipped sequence, bit for bit; the reverse pass reads
+        # the sentence reversed in place, so its step t is the forward pass's
+        assert np.array_equal(h0[:, 0], h0_flipped[::-1, 1])
         assert np.array_equal(
-            [cell.c for cell in rev.cells], [cell.c for cell in fwd.cells[::-1]]
+            [cell.c[0] for cell in rev.cells], [cell.c[1] for cell in fwd.cells]
         )
 
 
@@ -206,11 +219,16 @@ class TestBilstm:
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, seed=0)
         params = init_params(config, vocab5, num_words=5)
         emb = params["word_emb"][np.array([1, 2, 3])]
-        h0, left, right = bilstm_forward(params, emb)
+        h0, cache = bilstm_forward(params, emb, [3])
         assert h0.shape == (3, 4)
-        assert np.array_equal(h0[:, :2], left.hidden)
-        assert np.array_equal(h0[:, 2:], right.hidden)
-        assert left.reverse and not right.reverse
+        # the right-to-left LSTM's step t reads word n - 1 - t
+        assert np.array_equal(h0[:, :2], cache.hidden[0, 0, ::-1])
+        assert np.array_equal(h0[:, 2:], cache.hidden[1, 0])
+        # in a chunk, each sentence starts its row in both directions
+        h0, cache = bilstm_forward(params, params["word_emb"][np.array([1, 2, 3, 4, 1])], [3, 2])
+        assert cache.hidden.shape == (2, 2, 3, 2)
+        assert np.array_equal(h0[3:, :2], cache.hidden[0, 1, 1::-1])
+        assert np.array_equal(h0[3:, 2:], cache.hidden[1, 1, :2])
 
 
 class TestGraph:
@@ -245,6 +263,11 @@ def _doubled_pairs(forest):
     return {pair for pair in pairs if pairs.count(pair) > 1}
 
 
+def _messages(h, label_emb, graph, weighted):
+    ops = _graph_operators(graph, weighted, label_emb.shape[0] // 2)
+    return compute_messages(h, label_emb, ops)
+
+
 class TestMessages:
     @staticmethod
     def _edge_loop(h, label_emb, forest, vocab, weighted):
@@ -274,7 +297,7 @@ class TestMessages:
         label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 3))
         for weighted in (False, True):
             np.testing.assert_allclose(
-                compute_messages(h, label_emb, graph, weighted),
+                _messages(h, label_emb, graph, weighted),
                 self._edge_loop(h, label_emb, forest, vocab5, weighted),
                 rtol=1e-12,
                 atol=1e-15,
@@ -283,7 +306,7 @@ class TestMessages:
         # One-hot states and label rows make each message row spell out the
         # arcs it sums: every arc not anchored at ROOT reaches its head.
         num = vocab5.num_dep_labels
-        m = compute_messages(np.eye(9), np.eye(2 * num), graph, weighted=True)
+        m = _messages(np.eye(9), np.eye(2 * num), graph, weighted=True)
         m_dep, m_head = m[:, : 9 + 2 * num], m[:, 9 + 2 * num :]
         for e in forest.edges:
             if e.head == 0:
@@ -304,7 +327,7 @@ class TestMessages:
         rng = np.random.default_rng(0)
         h = rng.normal(size=(3, 4))
         label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 2))
-        m = compute_messages(h, label_emb, graph, weighted=False)
+        m = _messages(h, label_emb, graph, weighted=False)
         assert m.shape == (3, 12)
         m_dep, m_head = m[:, :6], m[:, 6:]
         obj = vocab5.dep_index("obj")
@@ -325,7 +348,7 @@ class TestMessages:
         graph = build_gnn_graph(forest, vocab5)
         h = np.ones((3, 4))
         label_emb = np.ones((2 * vocab5.num_dep_labels, 2))
-        m = compute_messages(h, label_emb, graph, weighted=True)
+        m = _messages(h, label_emb, graph, weighted=True)
         assert not m.any()
 
     def test_weight_scales_messages(self, vocab5):
@@ -336,8 +359,8 @@ class TestMessages:
         rng = np.random.default_rng(1)
         h = rng.normal(size=(3, 4))
         label_emb = rng.normal(size=(2 * vocab5.num_dep_labels, 2))
-        plain = compute_messages(h, label_emb, graph, weighted=False)
-        scaled = compute_messages(h, label_emb, graph, weighted=True)
+        plain = _messages(h, label_emb, graph, weighted=False)
+        scaled = _messages(h, label_emb, graph, weighted=True)
         assert np.array_equal(scaled, 0.5 * plain)
 
     def test_unit_probabilities_match_unweighted_bitwise(self, vocab5, tiny_setup):
@@ -363,7 +386,8 @@ class TestGrn:
     def test_zero_steps_is_identity(self, vocab5, tiny_setup):
         _, params, _, graph, _ = tiny_setup
         h0 = np.random.default_rng(2).normal(size=(4, 4))
-        h_final, caches = grn_forward(params, h0, graph, steps=0, weighted=False)
+        ops = _graph_operators(graph, False, vocab5.num_dep_labels)
+        h_final, caches = grn_forward(params, h0, ops, steps=0)
         assert h_final is h0
         assert caches == []
 
@@ -384,9 +408,12 @@ class TestGrn:
         )
         token_ids = np.array([1, 2, 3, 4])
         emb = params["word_emb"][token_ids]
-        h0, _, _ = bilstm_forward(params, emb)
-        h_with, _ = grn_forward(params, h0, build_gnn_graph(connected, vocab5), 2, False)
-        h_without, _ = grn_forward(params, h0, build_gnn_graph(empty, vocab5), 2, False)
+        h0, _ = bilstm_forward(params, emb, [4])
+        num = vocab5.num_dep_labels
+        ops_with = _graph_operators(build_gnn_graph(connected, vocab5), False, num)
+        ops_without = _graph_operators(build_gnn_graph(empty, vocab5), False, num)
+        h_with, _ = grn_forward(params, h0, ops_with, 2)
+        h_without, _ = grn_forward(params, h0, ops_without, 2)
         assert np.array_equal(h_with[3], h_without[3])
         assert not np.array_equal(h_with[0], h_without[0])
 
@@ -394,12 +421,17 @@ class TestGrn:
 class TestPoolingAndHeads:
     def test_mention_pool_is_row_mean(self):
         h = np.arange(12.0).reshape(4, 3)
-        np.testing.assert_allclose(mention_pool(h, (2, 4)), h[1:3].mean(axis=0))
-        np.testing.assert_allclose(mention_pool(h, (1, 2)), h[0])
+        pool = mention_pool([4], [(2, 4)], [(1, 2)])
+        np.testing.assert_allclose(pool @ h, [h[1:3].mean(axis=0), h[0]])
+        # a chunk of two sentences: the second one's spans index its own rows
+        pool = mention_pool([1, 3], [(1, 2), (1, 3)], [(1, 2), (3, 4)])
+        np.testing.assert_allclose(pool @ h, [h[0], h[0], h[1:3].mean(axis=0), h[3]])
+        with pytest.raises(ValueError, match=r"^span \[3, 3\) invalid for 4 positions$"):
+            mention_pool([4], [(3, 3)], [(1, 2)])
         with pytest.raises(ValueError, match="invalid"):
-            mention_pool(h, (3, 3))
-        with pytest.raises(ValueError, match="invalid"):
-            mention_pool(h, (0, 2))
+            mention_pool([4], [(1, 2)], [(0, 2)])
+        with pytest.raises(ValueError, match=r"^span \[2, 4\) invalid for 2 positions$"):
+            mention_pool([3, 2], [(1, 2), (2, 4)], [(1, 4), (1, 2)])
 
 
 class TestForwardBackward:
@@ -428,7 +460,7 @@ class TestForwardBackward:
         config, params, _, graph, token_ids = tiny_setup
         trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
         grads = params.zero_grads()
-        backward(params, config, trace, grads, np.zeros(3))
+        backward(params, config, trace, grads, np.zeros((1, 3)))
         for name, g in grads.items():
             assert not g.any(), name
 
@@ -436,7 +468,7 @@ class TestForwardBackward:
         config, params, _, graph, token_ids = tiny_setup
         trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
         d_rel = softmax(trace.rel_logits)
-        d_rel[0] -= 1.0
+        d_rel[0, 0] -= 1.0
         fresh = params.zero_grads()
         backward(params, config, trace, fresh, d_rel)
         rng = np.random.default_rng(5)
@@ -448,7 +480,7 @@ class TestForwardBackward:
                 buffer[name], start[name] + fresh[name], rtol=1e-12, atol=1e-15, err_msg=name
             )
         before = {name: g.tobytes() for name, g in buffer.items()}
-        backward(params, config, trace, buffer, np.zeros(3))
+        backward(params, config, trace, buffer, np.zeros((1, 3)))
         for name in params.names():
             assert buffer[name].tobytes() == before[name], name
 
@@ -470,11 +502,11 @@ class TestForwardBackward:
 
         def loss():
             trace = forward_instance(params, config, token_ids, *spans, graph)
-            return float(-trace.rel_log_probs[gold])
+            return float(-log_softmax(trace.rel_logits)[0, gold])
 
         trace = forward_instance(params, config, token_ids, *spans, graph)
         d_rel = softmax(trace.rel_logits)
-        d_rel[gold] -= 1.0
+        d_rel[0, gold] -= 1.0
         grads = params.zero_grads()
         backward(params, config, trace, grads, d_rel)
 
