@@ -154,10 +154,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         learning_rate=args.lr,
         batch_size=args.batch,
         l2=args.l2,
-        dropout=args.dropout,
         epochs=args.epochs,
-        use_ner_loss=args.ner_loss,
-        seed=args.seed,
         patience=args.patience,
     )
     result = training.train(

@@ -4,6 +4,8 @@ Positions within a sentence are 1-based; position 0 is an implicit ROOT
 pseudo-token that may head words but never modifies anything.  Mention spans
 are half-open ``[start, end)`` intervals over 1-based positions.  All types
 here are immutable after construction and safe to share between workers.
+Arc probabilities are four read-only numpy arrays in canonical order, built
+and checked with array operations; everything downstream reads those arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 REVERSED_SUFFIX = "-rev"
 NONE_RELATION = "None"
@@ -124,12 +128,15 @@ class ArcProbabilities:
     Entries are quadruples ``(modifier, head, label, prob)`` with
     ``1 <= modifier <= n``, ``0 <= head <= n``, ``head != modifier`` and
     ``prob`` in ``(0, 1]``.  Per-modifier stored mass may fall below 1 (sparse
-    storage drops mass) but never exceeds ``1 + 1e-6``.  Candidate lists are
-    kept in canonical order (head, then label in vocabulary order), which makes
-    iteration deterministic.  Instances are immutable.
+    storage drops mass) but never exceeds ``1 + 1e-6``.
+
+    The entries are kept as four read-only arrays, ``modifier``, ``head``,
+    ``label`` (the vocabulary index) and ``prob``, in canonical order: by
+    modifier, then head, then label in vocabulary order.  Readers use the
+    arrays directly.  Instances are immutable.
     """
 
-    __slots__ = ("sentence_id", "n", "vocab", "_by_mod", "_num_entries")
+    __slots__ = ("sentence_id", "n", "vocab", "modifier", "head", "label", "prob")
 
     def __init__(
         self,
@@ -143,81 +150,89 @@ class ArcProbabilities:
         self.sentence_id = sentence_id
         self.n = n
         self.vocab = vocab
-        # Each (modifier, head) cell maps label index -> (label, prob); sorting
-        # its keys gives vocabulary order.
-        staged: dict[int, dict[int, dict[int, tuple[str, float]]]] = {}
-        dep_index = vocab.dep_index
-        count = 0
-        for modifier, head, label, prob in entries:
-            if not 1 <= modifier <= n:
-                raise ValueError(f"modifier {modifier} out of range 1..{n}")
-            if not 0 <= head <= n:
-                raise ValueError(f"head {head} out of range 0..{n}")
-            if head == modifier:
-                raise ValueError(f"self-arc at position {modifier}")
-            index = dep_index(label)  # raises LabelLookupError for unknown labels
-            if not 0.0 < prob <= 1.0:
-                raise ValueError(f"probability {prob} for {(modifier, head, label)} not in (0, 1]")
-            cell = staged.setdefault(modifier, {}).setdefault(head, {})
-            if index in cell:
-                raise ValueError(f"duplicate arc entry {(modifier, head, label)}")
-            cell[index] = (label, prob)
-            count += 1
-        for modifier, heads in staged.items():
-            mass = sum(p for cell in heads.values() for _, p in cell.values())
-            if mass > 1.0 + MASS_TOLERANCE:
-                raise ValueError(
-                    f"stored mass {mass:.9f} for modifier {modifier} exceeds 1 + {MASS_TOLERANCE}"
-                )
-        by_mod: dict[int, tuple[tuple[int, tuple[tuple[str, float], ...]], ...]] = {}
-        for modifier, heads in sorted(staged.items()):
-            by_mod[modifier] = tuple(
-                (head, tuple(map(cell.__getitem__, sorted(cell))))
-                for head, cell in sorted(heads.items())
+        rows = list(entries)
+        if set(map(len, rows)) - {4}:
+            raise ValueError("arc entries must be (modifier, head, label, prob) quadruples")
+        columns = tuple(zip(*rows)) or ((), (), (), ())
+        modifier, head, prob = (np.asarray(columns[i]) for i in (0, 1, 3))
+        index = vocab._dep_index  # type: ignore[attr-defined]
+        label = np.array([index.get(name, -1) for name in columns[2]], dtype=np.int64)
+        # One mask flags every bad entry.  The first one in input order is
+        # then checked test by test, so its error is the one a scalar pass
+        # over the entries would raise.  A duplicate is every later entry of
+        # a key under a stable sort; a bad entry gets a key of its own.
+        bad = ~(
+            (1 <= modifier) & (modifier <= n) & (0 <= head) & (head <= n)
+            & (head != modifier) & (label >= 0) & (0.0 < prob) & (prob <= 1.0)
+        )
+        modifier = np.where(bad, -1 - np.arange(len(rows)), modifier).astype(np.int64)
+        head = np.where(bad, 0, head).astype(np.int64)
+        order = np.lexsort((label, head, modifier))
+        keys = np.stack((modifier, head, label))[:, order]
+        bad[order[1:]] |= (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+        if bad.any():
+            m, h, name, p = rows[int(np.argmax(bad))]
+            if not 1 <= m <= n:
+                raise ValueError(f"modifier {m} out of range 1..{n}")
+            if not 0 <= h <= n:
+                raise ValueError(f"head {h} out of range 0..{n}")
+            if h == m:
+                raise ValueError(f"self-arc at position {m}")
+            vocab.dep_index(name)  # raises LabelLookupError for unknown labels
+            if not 0.0 < p <= 1.0:
+                raise ValueError(f"probability {p} for {(m, h, name)} not in (0, 1]")
+            raise ValueError(f"duplicate arc entry {(m, h, name)}")
+        prob = prob.astype(np.float64)
+        mass = np.bincount(modifier, weights=prob, minlength=n + 1)
+        over = np.flatnonzero(mass[modifier] > 1.0 + MASS_TOLERANCE)
+        if over.size:
+            m = int(modifier[over[0]])
+            raise ValueError(
+                f"stored mass {mass[m]:.9f} for modifier {m} exceeds 1 + {MASS_TOLERANCE}"
             )
-        self._by_mod = by_mod
-        self._num_entries = count
+        self.modifier, self.head, self.label, self.prob = (
+            column[order] for column in (modifier, head, label, prob)
+        )
+        for column in (self.modifier, self.head, self.label, self.prob):
+            column.flags.writeable = False
 
     @property
     def num_entries(self) -> int:
-        return self._num_entries
+        return len(self.prob)
 
     def heads(self, modifier: int) -> tuple[int, ...]:
-        return tuple(h for h, _ in self._by_mod.get(modifier, ()))
+        lo, hi = np.searchsorted(self.modifier, (modifier, modifier + 1))
+        return tuple(np.unique(self.head[lo:hi]).tolist())
 
     def candidates(self, modifier: int, head: int) -> tuple[tuple[str, float], ...]:
-        for h, cands in self._by_mod.get(modifier, ()):
-            if h == head:
-                return cands
-        return ()
+        lo, hi = np.searchsorted(self.modifier, (modifier, modifier + 1))
+        lo, hi = lo + np.searchsorted(self.head[lo:hi], (head, head + 1))
+        labels = map(self.vocab.dep_labels.__getitem__, self.label[lo:hi].tolist())
+        return tuple(zip(labels, self.prob[lo:hi].tolist()))
 
     def uncovered_modifiers(self) -> list[int]:
         """Positions with no stored candidates at all."""
-        return [m for m in range(1, self.n + 1) if m not in self._by_mod]
-
-    def modifier_mass(self, modifier: int) -> float:
-        return sum(p for _, cands in self._by_mod.get(modifier, ()) for _, p in cands)
+        return np.setdiff1d(np.arange(1, self.n + 1), self.modifier).tolist()
 
     def iter_entries(self) -> Iterator[tuple[int, int, str, float]]:
-        """Yield quadruples in canonical (modifier, head, label-index) order."""
-        for modifier in sorted(self._by_mod):
-            for head, cands in self._by_mod[modifier]:
-                for label, prob in cands:
-                    yield (modifier, head, label, prob)
+        """Quadruples of Python ints, label strings and floats in canonical order."""
+        labels = map(self.vocab.dep_labels.__getitem__, self.label.tolist())
+        return zip(self.modifier.tolist(), self.head.tolist(), labels, self.prob.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArcProbabilities):
             return NotImplemented
-        return (
-            self.sentence_id == other.sentence_id
-            and self.n == other.n
-            and tuple(self.iter_entries()) == tuple(other.iter_entries())
+        mine, theirs = (
+            (p.modifier, p.head, np.take(p.vocab.dep_labels, p.label), p.prob) for p in (self, other)
+        )
+        return (self.sentence_id, self.n) == (other.sentence_id, other.n) and all(
+            map(np.array_equal, mine, theirs)
         )
 
     def __repr__(self) -> str:
         return (
             f"ArcProbabilities(id={self.sentence_id!r}, n={self.n}, "
-            f"entries={self._num_entries})"
+            f"entries={self.num_entries})"
         )
 
 

@@ -16,6 +16,11 @@ Arc and forest rows are kept in canonical (modifier, head, label-index) order,
 which makes load-then-write byte-identical.  Gold trees use the forest format
 (a tree is just a forest with exactly one head per token).
 
+Readers check JSON types first: positions, ``n`` and span ends must be ints
+(not bool, float or str), labels strings and probabilities numbers; the
+error names the file, the line and the field.  Arc rows then go to
+``ArcProbabilities`` as decoded.
+
 Every writer goes through ``atomic_open``: a file is either the old one or the
 complete new one, never a truncated mix.
 """
@@ -82,6 +87,36 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+# The decoded JSON types each field type admits, and its name in errors.  A
+# bool is not an int here, although Python's bool subclasses int, and a float
+# field (a probability) may be written as an int.
+_JSON_TYPES = {int: ({int}, "an int"), float: ({int, float}, "a number"), str: ({str}, "a string")}
+_ARC_FIELDS = (("modifier", int), ("head", int), ("label", str), ("prob", float))
+_EDGE_FIELDS = (("head", int), ("label", str), ("modifier", int), ("prob", float))
+_SPANS = [(mention, end) for mention in ("mention1", "mention2") for end in ("start", "end")]
+_SPAN_FIELDS = tuple((f"{mention}.{end}", int) for mention, end in _SPANS)
+
+
+def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str = "") -> None:
+    """Fail unless every value in ``rows`` has a JSON type its field admits.
+
+    Every row must be a list holding one value per ``(field, kind)`` of
+    ``fields``, where ``kind`` is a key of ``_JSON_TYPES``.  The first field
+    holding a wrong type is reported with the 1-based place of its first
+    wrong row (``arc 2 field 'modifier' must be an int, got float``); without
+    ``row_name``, ``rows`` is one record's values and only the field is
+    named.  Each column's types are gathered in one pass.
+    """
+    if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(fields)}:
+        raise DataFormatError(f"each {row_name} must be a list of {len(fields)} values")
+    for (field, kind), column in zip(fields, zip(*rows)):
+        allowed, name = _JSON_TYPES[kind]
+        if not set(map(type, column)) <= allowed:
+            row, value = next((i, v) for i, v in enumerate(column, 1) if type(v) not in allowed)
+            where = f"{row_name} {row} field {field!r}" if row_name else f"field {field!r}"
+            raise DataFormatError(f"{where} must be {name}, got {type(value).__name__}")
+
+
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
     with open(path, encoding="utf-8") as fh:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
@@ -138,8 +173,9 @@ def _instance_to_obj(inst: RelationInstance) -> dict:
 
 def _instance_from_obj(obj: dict) -> RelationInstance:
     sentence = Sentence(str(obj["id"]), tuple(str(t) for t in obj["tokens"]))
-    m1 = (int(obj["mention1"]["start"]), int(obj["mention1"]["end"]))
-    m2 = (int(obj["mention2"]["start"]), int(obj["mention2"]["end"]))
+    spans = [obj[mention][end] for mention, end in _SPANS]
+    _check_types([spans], _SPAN_FIELDS)
+    m1, m2 = tuple(spans[:2]), tuple(spans[2:])
     tags = tuple(str(t) for t in obj["ne_tags"]) if "ne_tags" in obj else None
     return RelationInstance(sentence, m1, m2, str(obj["relation"]), tags)
 
@@ -186,7 +222,7 @@ def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -
             obj = {
                 "id": sid,
                 "n": probs.n,
-                "arcs": [[m, h, label, p] for (m, h, label, p) in probs.iter_entries()],
+                "arcs": list(probs.iter_entries()),
             }
             fh.write(_dumps(obj) + "\n")
 
@@ -200,10 +236,9 @@ def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabil
             sid = str(obj["id"])
             if sid in out:
                 raise DataFormatError(f"duplicate sentence id {sid!r}")
-            entries = [
-                (int(m), int(h), str(label), float(p)) for m, h, label, p in obj["arcs"]
-            ]
-            out[sid] = ArcProbabilities(sid, int(obj["n"]), vocab, entries)
+            _check_types([[obj["n"]]], (("n", int),))
+            _check_types(obj["arcs"], _ARC_FIELDS, "arc")
+            out[sid] = ArcProbabilities(sid, obj["n"], vocab, obj["arcs"])
         except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out
@@ -242,13 +277,12 @@ def _read_edge_rows(
             sid = str(obj["id"])
             if sid in out:
                 raise DataFormatError(f"duplicate sentence id {sid!r}")
-            edges = [
-                DependencyEdge(int(h), str(label), int(m), float(p))
-                for h, label, m, p in obj["edges"]
-            ]
+            _check_types([[obj["n"]]], (("n", int),))
+            _check_types(obj["edges"], _EDGE_FIELDS, "edge")
+            edges = [DependencyEdge(h, label, m, float(p)) for h, label, m, p in obj["edges"]]
             for e in edges:
                 vocab.dep_index(e.label)
-            out[sid] = build(sid, int(obj["n"]), edges)
+            out[sid] = build(sid, obj["n"], edges)
         except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out

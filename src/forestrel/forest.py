@@ -13,7 +13,8 @@ filled for every start position at once: all splits x K x K candidates are
 scored in one array expression and each item keeps its K best.  Edge sets are
 rebuilt from the backpointers only where the tie rule needs them and for the
 goal item's K derivations.  Arc scores are log-probabilities of each arc's
-best label, so K-best diversity is purely structural.
+best label, so K-best diversity is purely structural; the dense arc tables
+and edgewise thresholding are array operations on the arc arrays.
 
 Ties are broken deterministically everywhere: compare log-scores first, then
 the lexicographically sorted (modifier, head, label-index) edge list.  Chart
@@ -96,31 +97,34 @@ def inject_fallback(probs: ArcProbabilities, eps: float) -> ArcProbabilities:
             f"of a {probs.n}-token sentence; use eps <= {1.0 / probs.n:.6g}"
         )
     label = probs.vocab.dep_labels[0]
-    entries = list(probs.iter_entries())
-    for m in probs.uncovered_modifiers():
-        for h in range(probs.n + 1):
-            if h != m:
-                entries.append((m, h, label, eps))
+    entries = list(probs.iter_entries()) + [
+        (m, h, label, eps) for m in probs.uncovered_modifiers() for h in range(probs.n + 1) if h != m
+    ]
     return ArcProbabilities(probs.sentence_id, probs.n, probs.vocab, entries)
 
 
 def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], list[list[float]]]:
     """Dense (head, modifier) tables of best-label log-prob, label index, prob.
 
-    One pass over the canonical entries; as in ``best_label``, the first
-    maximum in vocabulary order wins.  Absent arcs have log-prob -inf.
+    Each arc's entries are one run of the canonical arrays, in vocabulary
+    order; the first to reach the run's maximum wins, as in ``best_label``.
+    Logs come from ``math.log``, as in ``tree_log_score`` (``np.log`` can
+    differ in the last bit).  Absent arcs have log-prob -inf.
     """
     size = probs.n + 1
-    index = {label: i for i, label in enumerate(probs.vocab.dep_labels)}
-    label_idx = [[-1] * size for _ in range(size)]
-    prob = [[0.0] * size for _ in range(size)]
-    logp = [[NEG_INF] * size for _ in range(size)]
-    for m, h, label, p in probs.iter_entries():
-        if p > prob[h][m]:
-            prob[h][m] = p
-            label_idx[h][m] = index[label]
-            logp[h][m] = math.log(p)
-    return np.array(logp), label_idx, prob
+    run_start = np.diff(probs.modifier * size + probs.head, prepend=-1) != 0
+    run = np.cumsum(run_start) - 1
+    top = np.maximum.reduceat(probs.prob, np.flatnonzero(run_start))
+    at_top = np.flatnonzero(probs.prob == top[run])
+    best = at_top[np.diff(run[at_top], prepend=-1) != 0]
+    cells = (probs.head[best], probs.modifier[best])
+    label_idx = np.full((size, size), -1)
+    label_idx[cells] = probs.label[best]
+    prob = np.zeros((size, size))
+    prob[cells] = probs.prob[best]
+    logp = np.full((size, size), NEG_INF)
+    logp[cells] = list(map(math.log, probs.prob[best].tolist()))
+    return logp, label_idx.tolist(), prob.tolist()
 
 
 def _subspans(direction: int, shape: int, i: int, j: int, s: int) -> tuple[tuple, tuple]:
@@ -401,12 +405,14 @@ def edgewise_forest(probs: ArcProbabilities, gamma: float) -> DependencyForest:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    edges = (
-        DependencyEdge(h, label, m, p)
-        for (m, h, label, p) in probs.iter_entries()
-        if p > gamma
+    # The entries are unique and in canonical order already.
+    keep = probs.prob > gamma
+    labels = map(probs.vocab.dep_labels.__getitem__, probs.label[keep].tolist())
+    edges = map(
+        DependencyEdge,
+        probs.head[keep].tolist(), labels, probs.modifier[keep].tolist(), probs.prob[keep].tolist(),
     )
-    return DependencyForest.from_edges(probs.sentence_id, probs.n, edges, probs.vocab)
+    return DependencyForest(probs.sentence_id, probs.n, tuple(edges))
 
 
 def forest_density(forest: DependencyForest) -> float:

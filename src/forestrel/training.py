@@ -7,14 +7,14 @@ the mean over the batch's instances.  L2 regularization enters Adam as
 (never biases or embedding tables).
 
 All randomness (parameter init, epoch shuffling, dropout) derives from the
-single seed in TrainConfig, so identical configurations reproduce identical
+single seed in ModelConfig, so identical configurations reproduce identical
 models and metric curves bitwise.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -58,10 +58,7 @@ class TrainConfig:
     learning_rate: float = 0.001
     batch_size: int = 20
     l2: float = 1e-8
-    dropout: float = 0.1
     epochs: int = 100
-    use_ner_loss: bool = False
-    seed: int = 0
     patience: int = 10
 
     def __post_init__(self) -> None:
@@ -366,12 +363,14 @@ def train(
 ) -> TrainResult:
     """Train with Adam and early stopping on dev F1.
 
-    Each minibatch is split into chunks of at most ``CHUNK_WORDS`` words;
-    every chunk adds its gradients into the batch's buffer and Adam steps
-    once per minibatch.  Dropout masks come from one stream in instance
-    order: for each instance of the shuffled epoch, its embedding mask
-    ``(n, dim_word)`` and then its mention mask ``(2 * dim_state,)``, so the
-    masks do not depend on the chunk boundaries.
+    Dropout, the seed and the NER head (and with it the NER loss) come from
+    ``model_config``, which the checkpoint stores as given.  Each minibatch
+    is split into chunks of at most ``CHUNK_WORDS`` words; every chunk adds
+    its gradients into the batch's buffer and Adam steps once per minibatch.
+    Dropout masks come from one stream in instance order: for each instance
+    of the shuffled epoch, its embedding mask ``(n, dim_word)`` and then its
+    mention mask ``(2 * dim_state,)``, so the masks do not depend on the
+    chunk boundaries.
 
     The checkpoint with the best dev F1 (earliest epoch on ties) is returned;
     training stops once ``patience`` epochs pass without improvement.
@@ -379,16 +378,10 @@ def train(
     if not train_instances:
         raise ValueError("no training instances")
     start = time.perf_counter()
-    model_config = replace(
-        model_config,
-        dropout=train_config.dropout,
-        ner_head=model_config.ner_head or train_config.use_ner_loss,
-        seed=train_config.seed,
-    )
     words = _build_words(train_instances)
     word_index = build_word_index(words)
     train_enc = _encode_instances(
-        train_instances, train_forests, vocab, word_index, structure, train_config.use_ner_loss
+        train_instances, train_forests, vocab, word_index, structure, model_config.ner_head
     )
     dev_enc = _encode_instances(dev_instances, dev_forests, vocab, word_index, structure, False)
     dev_gold = [enc.relation_index for enc in dev_enc]
@@ -396,7 +389,7 @@ def train(
 
     params = init_params(model_config, vocab, len(words))
     state = OptimizerState.for_params(params)
-    seeds = np.random.SeedSequence(train_config.seed).spawn(2)
+    seeds = np.random.SeedSequence(model_config.seed).spawn(2)
     shuffle_rng = np.random.default_rng(seeds[0])
     dropout_rng = np.random.default_rng(seeds[1])
 
@@ -419,7 +412,7 @@ def train(
                     params,
                     model_config,
                     chunk,
-                    train_config.use_ner_loss,
+                    model_config.ner_head,
                     acc,
                     train=True,
                     rng=dropout_rng,

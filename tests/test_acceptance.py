@@ -231,8 +231,8 @@ def test_c07_tree_and_forest_models_have_equal_parameter_counts():
         for p in probs
     ]
     full_forests = [edgewise_forest(p, 0.2) for p in probs]
-    mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8)
-    tc = TrainConfig(epochs=1, seed=0)
+    mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8, seed=0)
+    tc = TrainConfig(epochs=1)
     tree_run = train(instances, tree_forests, instances, tree_forests,
                      data.vocab, mc, tc, "tree")
     forest_run = train(instances, full_forests, instances, full_forests,
@@ -259,11 +259,11 @@ def test_c08_forest_model_learns_the_synthetic_task():
         edgewise_forest(dev_data.arc_probs[i.sentence.id], 0.2)
         for i in dev_data.instances
     ]
-    tc = TrainConfig(learning_rate=0.003, epochs=100, seed=5, patience=15)
+    tc = TrainConfig(learning_rate=0.003, epochs=100, patience=15)
     scores = {}
     for structure, weighted in (("forest", True), ("textonly", False)):
         mc = ModelConfig(dim_word=16, dim_label=16, dim_hidden=16, steps=2,
-                         weighted=weighted)
+                         weighted=weighted, seed=5)
         result = train(
             list(train_data.instances),
             train_forests if structure == "forest" else None,

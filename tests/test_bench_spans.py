@@ -9,12 +9,14 @@ test fails first.
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from forestrel.core import DependencyEdge, DependencyForest
+from forestrel.dataio import SynthSpec, save_arc_probs, synth_generate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -100,3 +102,19 @@ def test_graph_counters_count_words_and_non_root_arcs(vocab5):
     assert [span[0] for span in tracer.spans] == ["encoder.build_gnn_graph"]
     assert tracer.counters["encoder.graph_edges"] == 5
     assert tracer.counters["encoder.graph_words"] == 6
+
+
+def test_arc_entry_counter_counts_the_file_entries(tmp_path):
+    spans = _load_bench_module("spans")
+    data = synth_generate(SynthSpec(n_sentences=3, seed=4))
+    path = tmp_path / "arcs.jsonl"
+    save_arc_probs(data.arc_probs, path)
+    in_file = sum(len(json.loads(line)["arcs"]) for line in path.read_text().splitlines())
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        importlib.import_module("forestrel.dataio").load_arc_probs(path, data.vocab)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["dataio.load_arc_probs"]
+    assert tracer.counters["dataio.arc_entries"] == in_file > 0

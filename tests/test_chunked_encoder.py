@@ -344,15 +344,15 @@ def test_training_dropout_masks_replay_per_instance(monkeypatch):
         return trace
 
     monkeypatch.setattr(training, "forward_instance", recording)
-    mc = ModelConfig(dim_word=6, dim_label=4, dim_hidden=5)
-    tc = TrainConfig(epochs=2, batch_size=20, dropout=0.4, seed=8)
+    mc = ModelConfig(dim_word=6, dim_label=4, dim_hidden=5, dropout=0.4, seed=8)
+    tc = TrainConfig(epochs=2, batch_size=20)
     instances = list(data.instances)
     train(instances, forests, instances, forests, data.vocab, mc, tc, "forest")
 
     assert len(calls) > 4, "each minibatch must span several chunks"
     assert any(len(lengths) > 1 for lengths, _ in calls)
-    replay = np.random.default_rng(np.random.SeedSequence(tc.seed).spawn(2)[1])
-    keep = 1.0 - tc.dropout
+    replay = np.random.default_rng(np.random.SeedSequence(mc.seed).spawn(2)[1])
+    keep = 1.0 - mc.dropout
     for lengths, trace in calls:
         offset = 0
         for i, n in enumerate(lengths):

@@ -89,11 +89,24 @@ class TestArcProbabilities:
         with pytest.raises(LabelLookupError):
             ArcProbabilities("s", 2, vocab5, [(1, 0, "punct", 0.2)])
 
+    def test_first_bad_entry_in_input_order_decides_the_error(self, vocab5):
+        def build(entries):
+            return ArcProbabilities("s", 2, vocab5, entries)
+
+        with pytest.raises(ValueError, match=r"^probability 1\.5 for \(2, 0, 'amod'\) not in"):
+            build([(1, 0, "amod", 0.2), (2, 0, "amod", 1.5), (0, 1, "amod", 0.2)])
+        with pytest.raises(ValueError, match=r"^duplicate arc entry \(1, 0, 'amod'\)$"):
+            build([(1, 0, "amod", 0.2), (2, 0, "obj", 0.1), (1, 0, "amod", 0.3), (3, 0, "amod", 0.1)])
+        with pytest.raises(LabelLookupError, match="punct"):
+            build([(2, 0, "punct", 0.2), (1, 1, "amod", 0.2)])
+        with pytest.raises(ValueError, match=r"^stored mass 1\.100000000 for modifier 2 exceeds"):
+            build([(2, 0, "amod", 0.7), (2, 1, "obj", 0.4), (1, 0, "amod", 0.8), (1, 2, "obj", 0.5)])
+
     def test_uncovered_modifiers_and_mass(self, vocab5):
         probs = ArcProbabilities("s", 3, vocab5, [(2, 0, "amod", 0.5), (2, 1, "obj", 0.25)])
         assert probs.uncovered_modifiers() == [1, 3]
-        assert probs.modifier_mass(2) == pytest.approx(0.75)
-        assert probs.modifier_mass(1) == 0.0
+        assert probs.prob[probs.modifier == 2].sum() == pytest.approx(0.75)
+        assert probs.prob[probs.modifier == 1].sum() == 0.0
 
     def test_equality_ignores_input_order(self, vocab5):
         a = ArcProbabilities("s", 2, vocab5, [(1, 0, "amod", 0.4), (2, 0, "obj", 0.3)])

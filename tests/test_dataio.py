@@ -92,6 +92,29 @@ class TestCorpusFile:
         with pytest.raises(DataFormatError, match=":1:"):
             load_corpus(path, vocab5, fail_fast=True)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("start", 1.9, "field 'mention1.start' must be an int, got float"),
+            ("end", "2", "field 'mention1.end' must be an int, got str"),
+            ("start", True, "field 'mention1.start' must be an int, got bool"),
+        ],
+    )
+    def test_mistyped_span_skipped_with_line(self, vocab5, tmp_path, field, value, message):
+        good = {
+            "id": "s0",
+            "tokens": ["a", "b"],
+            "mention1": {"start": 1, "end": 2},
+            "mention2": {"start": 2, "end": 3},
+            "relation": "R-A",
+        }
+        bad = dict(good, id="s1", mention1=dict(good["mention1"], **{field: value}))
+        path = tmp_path / "corpus.jsonl"
+        _write_rows(path, [good, bad])
+        result = load_corpus(path, vocab5)
+        assert len(result.instances) == 1
+        assert result.skipped == (f"{path}:2: {message}",)
+
     def test_blank_lines_ignored(self, vocab5, tmp_path):
         good = {
             "id": "s0",
@@ -104,6 +127,10 @@ class TestCorpusFile:
         path.write_text("\n" + json.dumps(good) + "\n\n", encoding="utf-8")
         result = load_corpus(path, vocab5)
         assert len(result.instances) == 1
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
 class TestArcFile:
@@ -146,6 +173,31 @@ class TestArcFile:
         with pytest.raises(DataFormatError, match=":1:.*stored mass"):
             load_arc_probs(path, vocab5)
 
+    @pytest.mark.parametrize(
+        "n, arcs, message",
+        [
+            (
+                2,
+                [[1, 0, "amod", 0.5], [1.7, 0, "obj", 0.25]],
+                "arc 2 field 'modifier' must be an int, got float",
+            ),
+            (2, [[1, 0.6, "amod", 0.5]], "arc 1 field 'head' must be an int, got float"),
+            (2, [[1, False, "amod", 0.5]], "arc 1 field 'head' must be an int, got bool"),
+            (2, [[1, 0, "amod", "0.5"]], "arc 1 field 'prob' must be a number, got str"),
+            (2, [[2, 0, "amod", 0.5], [1, 0, "amod"]], "each arc must be a list of 4 values"),
+            (2.9, [[1, 0, "amod", 0.5]], "field 'n' must be an int, got float"),
+        ],
+    )
+    def test_mistyped_field_named_with_line(self, vocab5, tmp_path, n, arcs, message):
+        path = tmp_path / "arcs.jsonl"
+        _write_rows(path, [
+            {"id": "s0", "n": 2, "arcs": [[1, 0, "amod", 1]]},
+            {"id": "s1", "n": n, "arcs": arcs},
+        ])
+        with pytest.raises(DataFormatError) as info:
+            load_arc_probs(path, vocab5)
+        assert str(info.value) == f"{path}:2: {message}"
+
     def test_unknown_label_fails_fast(self, vocab5, tmp_path):
         path = tmp_path / "arcs.jsonl"
         path.write_text(
@@ -179,6 +231,31 @@ class TestForestAndTreeFiles:
         assert loaded == data.gold_trees
         save_trees(loaded, second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (
+                2,
+                [[0, "amod", 1, 0.5], [1, "obj", 1.7, 0.5]],
+                "edge 2 field 'modifier' must be an int, got float",
+            ),
+            (2, [[0.6, "amod", 1, 0.5]], "edge 1 field 'head' must be an int, got float"),
+            (2, [[False, "amod", 1, 0.5]], "edge 1 field 'head' must be an int, got bool"),
+            (2, [[0, "amod", 1, "0.5"]], "edge 1 field 'prob' must be a number, got str"),
+            (2.9, [[0, "amod", 1, 0.5]], "field 'n' must be an int, got float"),
+        ],
+    )
+    def test_mistyped_field_named_with_line(self, vocab5, tmp_path, n, edges, message):
+        path = tmp_path / "forests.jsonl"
+        _write_rows(path, [
+            {"id": "s0", "n": 1, "edges": [[0, "amod", 1, 1]]},
+            {"id": "s1", "n": n, "edges": edges},
+        ])
+        for load in (load_forests, load_trees):
+            with pytest.raises(DataFormatError) as info:
+                load(path, vocab5)
+            assert str(info.value) == f"{path}:2: {message}"
 
     def test_tree_file_rejects_cycles(self, vocab5, tmp_path):
         path = tmp_path / "trees.jsonl"
@@ -348,7 +425,7 @@ class TestSynthGenerator:
         for probs in data.arc_probs.values():
             cells = probs.n * spec.n_dep_labels
             for m in range(1, probs.n + 1):
-                mass = probs.modifier_mass(m)
+                mass = probs.prob[probs.modifier == m].sum()
                 assert mass <= 1.0 + 1e-9
                 assert mass >= 1.0 - spec.prob_floor * cells
 

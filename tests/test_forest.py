@@ -21,6 +21,7 @@ from forestrel.forest import (
     INCOMPLETE,
     LEFT,
     RIGHT,
+    _arc_tables,
     _build_chart,
     _Chart,
     best_label,
@@ -139,6 +140,31 @@ class TestBestLabel:
     def test_absent_arc_gives_none(self, vocab5):
         probs = ArcProbabilities("s", 2, vocab5, [(1, 0, "amod", 0.2)])
         assert best_label(probs, 2, 1) is None
+
+
+class TestArcTables:
+    """The chart's dense tables against a per-cell scan of ``candidates``."""
+
+    @pytest.mark.parametrize("factory", ["arc_grid_factory", "tied_grid_factory"])
+    def test_first_maximum_and_its_math_log(self, vocab5, factory, request):
+        make = request.getfixturevalue(factory)
+        rng = np.random.default_rng(17)
+        for trial in range(30):
+            n = int(rng.integers(2, 41))
+            probs = make(rng, vocab5, n, sentence_id=f"g{trial}")
+            logp, label_idx, prob = _arc_tables(probs)
+            for h in range(n + 1):
+                for m in range(1, n + 1):
+                    cands = probs.candidates(m, h)
+                    if not cands:
+                        assert (logp[h, m], label_idx[h][m], prob[h][m]) == (-math.inf, -1, 0.0)
+                        continue
+                    best = max(p for _, p in cands)
+                    first = next(label for label, p in cands if p == best)
+                    # bitwise: a one-ulp change in an arc score can reorder tied trees
+                    assert logp[h, m].hex() == math.log(best).hex()
+                    assert label_idx[h][m] == vocab5.dep_index(first)
+                    assert prob[h][m] == best
 
 
 class TestDecodeHandCases:

@@ -221,8 +221,8 @@ def _tiny_dataset(count, seed, temperature=0.12):
 class TestTrainLoop:
     def test_same_seed_reproduces_bitwise(self):
         data, forests = _tiny_dataset(12, seed=21)
-        mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8, steps=2)
-        tc = TrainConfig(learning_rate=0.01, epochs=3, seed=4, patience=10)
+        mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8, steps=2, seed=4)
+        tc = TrainConfig(learning_rate=0.01, epochs=3, patience=10)
         runs = []
         for _ in range(2):
             result = train(
@@ -237,8 +237,9 @@ class TestTrainLoop:
 
     def test_memorizes_small_corpus(self):
         data, forests = _tiny_dataset(20, seed=33, temperature=0.1)
-        mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8, steps=2, weighted=True)
-        tc = TrainConfig(learning_rate=0.01, epochs=40, seed=0, patience=40, dropout=0.0)
+        mc = ModelConfig(dim_word=8, dim_label=8, dim_hidden=8, steps=2, weighted=True,
+                         dropout=0.0, seed=0)
+        tc = TrainConfig(learning_rate=0.01, epochs=40, patience=40)
         result = train(
             list(data.instances), forests, list(data.instances), forests,
             data.vocab, mc, tc, "forest",
@@ -251,8 +252,8 @@ class TestTrainLoop:
 
     def test_early_stopping_with_frozen_parameters(self):
         data, forests = _tiny_dataset(8, seed=2)
-        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, steps=1)
-        tc = TrainConfig(learning_rate=0.0, epochs=50, seed=0, patience=3)
+        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, steps=1, seed=0)
+        tc = TrainConfig(learning_rate=0.0, epochs=50, patience=3)
         result = train(
             list(data.instances), forests, list(data.instances), forests,
             data.vocab, mc, tc, "forest",
@@ -260,6 +261,13 @@ class TestTrainLoop:
         # dev F1 never improves after epoch 1, so training stops at 1 + patience
         assert len(result.epochs) == 4
         assert result.best_epoch == 1
+
+    def test_checkpoint_keeps_the_model_config(self):
+        data, forests = _tiny_dataset(4, seed=10)
+        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, dropout=0.3, seed=3)
+        result = train(list(data.instances), forests, list(data.instances), forests,
+                       data.vocab, mc, TrainConfig(epochs=1), "forest")
+        assert result.checkpoint.config == mc
 
     def test_structure_needs_forests(self):
         data, forests = _tiny_dataset(4, seed=5)
@@ -297,8 +305,8 @@ class TestTrainLoop:
             RelationInstance(i.sentence, i.mention1, i.mention2, i.relation, None)
             for i in data.instances
         ]
-        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4)
-        tc = TrainConfig(epochs=1, use_ner_loss=True)
+        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, ner_head=True)
+        tc = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="no NE tags"):
             train(stripped, forests, stripped, forests, data.vocab, mc, tc, "forest")
 
@@ -308,7 +316,8 @@ class TestTrainLoop:
         plain = train(list(data.instances), forests, list(data.instances), forests,
                       data.vocab, mc, TrainConfig(epochs=1), "forest")
         tagged = train(list(data.instances), forests, list(data.instances), forests,
-                       data.vocab, mc, TrainConfig(epochs=1, use_ner_loss=True), "forest")
+                       data.vocab, ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, ner_head=True),
+                       TrainConfig(epochs=1), "forest")
         assert "ner.W" not in plain.checkpoint.params
         assert "ner.W" in tagged.checkpoint.params
 
