@@ -4,8 +4,9 @@ Positions within a sentence are 1-based; position 0 is an implicit ROOT
 pseudo-token that may head words but never modifies anything.  Mention spans
 are half-open ``[start, end)`` intervals over 1-based positions.  All types
 here are immutable after construction and safe to share between workers.
-Arc probabilities are four read-only numpy arrays in canonical order, built
-and checked with array operations; everything downstream reads those arrays.
+Arc probabilities and dependency forests share one form, four read-only numpy
+arrays in canonical order, and one array check (``_ArcSet``); everything
+downstream reads those arrays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ UNK_TOKEN = "<unk>"
 # Sparse storage may drop probability mass, never add it.
 MASS_TOLERANCE = 1e-6
 LOG_SCORE_TOLERANCE = 1e-9
+
+# The types each kind of field admits, and its name in errors.  A bool is not
+# an int here, although Python's bool subclasses int, and a float field (a
+# probability) may hold an int.  JSON decodes to int, float and str, so rows
+# read from files and rows from Python callers meet one rule.
+_FIELD_TYPES = {
+    int: ((int, np.integer), "an int"),
+    float: ((int, float, np.integer, np.floating), "a number"),
+    str: (str, "a string"),
+}
+_ARC_FIELDS = (("modifier", int), ("head", int), ("label", str), ("prob", float))
 
 
 class LabelLookupError(KeyError):
@@ -122,18 +134,41 @@ class DependencyEdge(NamedTuple):
         return (self.head, self.label, self.modifier)
 
 
-class ArcProbabilities:
-    """Sparse per-modifier distributions over (head, label) candidates.
+def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str = "") -> tuple:
+    """Fail unless every value in ``rows`` has a type its field admits;
+    return the columns, one tuple per field.
+
+    Every row must be a list or tuple holding one value per ``(field, kind)``
+    of ``fields``, where ``kind`` is a key of ``_FIELD_TYPES``.  The first
+    field holding a wrong type is reported with the 1-based place of its
+    first wrong row (``arc 2 field 'modifier' must be an int, got float``);
+    without ``row_name``, ``rows`` is one record's values and only the field
+    is named.  Each column's types are gathered in one pass.
+    """
+    if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {len(fields)}:
+        raise ValueError(f"each {row_name} must be a list of {len(fields)} values")
+    columns = tuple(zip(*rows)) or ((),) * len(fields)
+    for (field, kind), column in zip(fields, columns):
+        allowed, name = _FIELD_TYPES[kind]
+        wrong = {t for t in set(map(type, column)) if not issubclass(t, allowed) or t is bool}
+        if wrong:
+            row, value = next((i, v) for i, v in enumerate(column, 1) if type(v) in wrong)
+            where = f"{row_name} {row} field {field!r}" if row_name else f"field {field!r}"
+            raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+    return columns
+
+
+class _ArcSet:
+    """The labeled arcs of one sentence as four read-only arrays.
 
     Entries are quadruples ``(modifier, head, label, prob)`` with
-    ``1 <= modifier <= n``, ``0 <= head <= n``, ``head != modifier`` and
-    ``prob`` in ``(0, 1]``.  Per-modifier stored mass may fall below 1 (sparse
-    storage drops mass) but never exceeds ``1 + 1e-6``.
-
-    The entries are kept as four read-only arrays, ``modifier``, ``head``,
-    ``label`` (the vocabulary index) and ``prob``, in canonical order: by
-    modifier, then head, then label in vocabulary order.  Readers use the
-    arrays directly.  Instances are immutable.
+    ``1 <= modifier <= n``, ``0 <= head <= n``, ``head != modifier``, a label
+    of the vocabulary and ``prob`` in ``(0, 1]``; no (modifier, head, label)
+    key occurs twice.  They are kept as ``modifier``, ``head``, ``label`` (the
+    vocabulary index) and ``prob``, in canonical order: by modifier, then
+    head, then label in vocabulary order.  Readers use the arrays directly.
+    Instances are immutable; two of the same class are equal when their ids,
+    lengths and entries are.
     """
 
     __slots__ = ("sentence_id", "n", "vocab", "modifier", "head", "label", "prob")
@@ -145,15 +180,20 @@ class ArcProbabilities:
         vocab: LabelVocab,
         entries: Iterable[tuple[int, int, str, float]],
     ) -> None:
+        self._check(sentence_id, n, vocab, _check_types(list(entries), _ARC_FIELDS, "arc"))
+
+    @classmethod
+    def _from_columns(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
+        """Build from ``(modifier, head, label, prob)`` columns that
+        ``_check_types`` returned (a file reader's)."""
+        arcs = cls.__new__(cls)
+        arcs._check(sentence_id, n, vocab, columns)
+        return arcs
+
+    def _check(self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence) -> None:
+        """Check every entry rule on the columns and keep them in canonical order."""
         if n < 1:
             raise ValueError(f"sentence length must be >= 1, got {n}")
-        self.sentence_id = sentence_id
-        self.n = n
-        self.vocab = vocab
-        rows = list(entries)
-        if set(map(len, rows)) - {4}:
-            raise ValueError("arc entries must be (modifier, head, label, prob) quadruples")
-        columns = tuple(zip(*rows)) or ((), (), (), ())
         modifier, head, prob = (np.asarray(columns[i]) for i in (0, 1, 3))
         index = vocab._dep_index  # type: ignore[attr-defined]
         label = np.array([index.get(name, -1) for name in columns[2]], dtype=np.int64)
@@ -165,13 +205,14 @@ class ArcProbabilities:
             (1 <= modifier) & (modifier <= n) & (0 <= head) & (head <= n)
             & (head != modifier) & (label >= 0) & (0.0 < prob) & (prob <= 1.0)
         )
-        modifier = np.where(bad, -1 - np.arange(len(rows)), modifier).astype(np.int64)
+        modifier = np.where(bad, -1 - np.arange(len(label)), modifier).astype(np.int64)
         head = np.where(bad, 0, head).astype(np.int64)
         order = np.lexsort((label, head, modifier))
         keys = np.stack((modifier, head, label))[:, order]
         bad[order[1:]] |= (keys[:, 1:] == keys[:, :-1]).all(axis=0)
         if bad.any():
-            m, h, name, p = rows[int(np.argmax(bad))]
+            first = int(np.argmax(bad))
+            m, h, name, p = (column[first] for column in columns)
             if not 1 <= m <= n:
                 raise ValueError(f"modifier {m} out of range 1..{n}")
             if not 0 <= h <= n:
@@ -183,6 +224,55 @@ class ArcProbabilities:
                 raise ValueError(f"probability {p} for {(m, h, name)} not in (0, 1]")
             raise ValueError(f"duplicate arc entry {(m, h, name)}")
         prob = prob.astype(np.float64)
+        self._check_input_order(n, modifier, prob)
+        columns = (modifier, head, label, prob)
+        self._keep(sentence_id, n, vocab, *(column[order] for column in columns))
+
+    def _check_input_order(self, n: int, modifier: np.ndarray, prob: np.ndarray) -> None:
+        """A subclass's further rules, on the checked columns in input order."""
+
+    def _keep(self, sentence_id: str, n: int, vocab: LabelVocab, *columns: np.ndarray) -> None:
+        self.sentence_id, self.n, self.vocab = sentence_id, n, vocab
+        self.modifier, self.head, self.label, self.prob = columns
+        for column in columns:
+            column.flags.writeable = False
+
+    def _subset(self, cls: type, keep: np.ndarray):
+        """The entries where ``keep`` holds, as a ``cls``: a subset of checked
+        entries in canonical order is checked and canonical already."""
+        arcs = cls.__new__(cls)
+        columns = (self.modifier, self.head, self.label, self.prob)
+        arcs._keep(self.sentence_id, self.n, self.vocab, *(column[keep] for column in columns))
+        return arcs
+
+    def iter_entries(self) -> Iterator[tuple[int, int, str, float]]:
+        """Quadruples of Python ints, label strings and floats in canonical order."""
+        labels = map(self.vocab.dep_labels.__getitem__, self.label.tolist())
+        return zip(self.modifier.tolist(), self.head.tolist(), labels, self.prob.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        mine, theirs = (
+            (p.modifier, p.head, np.take(p.vocab.dep_labels, p.label), p.prob) for p in (self, other)
+        )
+        return (self.sentence_id, self.n) == (other.sentence_id, other.n) and all(
+            map(np.array_equal, mine, theirs)
+        )
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        return f"{name}(id={self.sentence_id!r}, n={self.n}, entries={len(self.prob)})"
+
+
+class ArcProbabilities(_ArcSet):
+    """Sparse per-modifier distributions over (head, label) candidates.  A
+    modifier's stored mass may fall below 1 (sparse storage drops mass) but
+    never exceeds ``1 + 1e-6``."""
+
+    __slots__ = ()
+
+    def _check_input_order(self, n: int, modifier: np.ndarray, prob: np.ndarray) -> None:
         mass = np.bincount(modifier, weights=prob, minlength=n + 1)
         over = np.flatnonzero(mass[modifier] > 1.0 + MASS_TOLERANCE)
         if over.size:
@@ -190,11 +280,6 @@ class ArcProbabilities:
             raise ValueError(
                 f"stored mass {mass[m]:.9f} for modifier {m} exceeds 1 + {MASS_TOLERANCE}"
             )
-        self.modifier, self.head, self.label, self.prob = (
-            column[order] for column in (modifier, head, label, prob)
-        )
-        for column in (self.modifier, self.head, self.label, self.prob):
-            column.flags.writeable = False
 
     @property
     def num_entries(self) -> int:
@@ -214,26 +299,40 @@ class ArcProbabilities:
         """Positions with no stored candidates at all."""
         return np.setdiff1d(np.arange(1, self.n + 1), self.modifier).tolist()
 
-    def iter_entries(self) -> Iterator[tuple[int, int, str, float]]:
-        """Quadruples of Python ints, label strings and floats in canonical order."""
-        labels = map(self.vocab.dep_labels.__getitem__, self.label.tolist())
-        return zip(self.modifier.tolist(), self.head.tolist(), labels, self.prob.tolist())
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ArcProbabilities):
-            return NotImplemented
-        mine, theirs = (
-            (p.modifier, p.head, np.take(p.vocab.dep_labels, p.label), p.prob) for p in (self, other)
-        )
-        return (self.sentence_id, self.n) == (other.sentence_id, other.n) and all(
-            map(np.array_equal, mine, theirs)
-        )
+class DependencyForest(_ArcSet):
+    """A set of labeled arcs over one sentence.
 
-    def __repr__(self) -> str:
-        return (
-            f"ArcProbabilities(id={self.sentence_id!r}, n={self.n}, "
-            f"entries={self.num_entries})"
-        )
+    Unlike a tree, a forest may give a position several candidate heads, may
+    leave positions unattached, and need not be connected.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def from_edges(
+        cls, sentence_id: str, n: int, edges: Iterable[DependencyEdge], vocab: LabelVocab
+    ) -> "DependencyForest":
+        """Build a forest, deduplicating repeated triples (first prob wins)."""
+        kept: dict[tuple[int, str, int], DependencyEdge] = {}
+        for e in edges:
+            kept.setdefault(e.triple, e)
+        rows = [(e.modifier, e.head, e.label, e.prob) for e in kept.values()]
+        return cls(sentence_id, n, vocab, rows)
+
+    @property
+    def edges(self) -> tuple[DependencyEdge, ...]:
+        """The arcs as edges, in canonical order."""
+        return tuple(DependencyEdge(h, label, m, p) for m, h, label, p in self.iter_entries())
+
+    def has_edge(self, head: int, label: str, modifier: int) -> bool:
+        index = self.vocab._dep_index.get(label, -1)  # type: ignore[attr-defined]
+        found = (self.modifier == modifier) & (self.head == head) & (self.label == index)
+        return bool(found.any())
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.prob)
 
 
 def tree_log_score(edges: Iterable[DependencyEdge]) -> float:
@@ -330,62 +429,6 @@ def check_tree(tree: DependencyTree) -> list[str]:
     if abs(tree.log_score - tree_log_score(tree.edges)) > LOG_SCORE_TOLERANCE:
         violations.append("log_score does not match the sum of edge log-probabilities")
     return violations
-
-
-@dataclass(frozen=True)
-class DependencyForest:
-    """A deduplicated set of labeled arcs over one sentence.
-
-    Unlike a tree, a forest may give a position several candidate heads, may
-    leave positions unattached, and need not be connected.  Edges are stored in
-    canonical (modifier, head, label-index) order.
-    """
-
-    sentence_id: str
-    n: int
-    edges: tuple[DependencyEdge, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"sentence length must be >= 1, got {self.n}")
-        seen: set[tuple[int, str, int]] = set()
-        for e in self.edges:
-            if not 1 <= e.modifier <= self.n:
-                raise ValueError(f"modifier {e.modifier} out of range 1..{self.n}")
-            if not 0 <= e.head <= self.n:
-                raise ValueError(f"head {e.head} out of range 0..{self.n}")
-            if e.head == e.modifier:
-                raise ValueError(f"self-arc at position {e.modifier}")
-            if not 0.0 < e.prob <= 1.0:
-                raise ValueError(f"probability {e.prob} for {e.triple} not in (0, 1]")
-            if e.triple in seen:
-                raise ValueError(f"duplicate edge {e.triple}")
-            seen.add(e.triple)
-        object.__setattr__(self, "_triples", frozenset(seen))
-
-    @classmethod
-    def from_edges(
-        cls,
-        sentence_id: str,
-        n: int,
-        edges: Iterable[DependencyEdge],
-        vocab: LabelVocab,
-    ) -> "DependencyForest":
-        """Build a forest, deduplicating repeated triples (first prob wins)."""
-        kept: dict[tuple[int, str, int], DependencyEdge] = {}
-        for e in edges:
-            kept.setdefault(e.triple, e)
-        ordered = sorted(
-            kept.values(), key=lambda e: (e.modifier, e.head, vocab.dep_index(e.label))
-        )
-        return cls(sentence_id, n, tuple(ordered))
-
-    def has_edge(self, head: int, label: str, modifier: int) -> bool:
-        return (head, label, modifier) in self._triples  # type: ignore[attr-defined]
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ which makes load-then-write byte-identical.  Gold trees use the forest format
 
 Readers check JSON types first: positions, ``n`` and span ends must be ints
 (not bool, float or str), labels strings and probabilities numbers; the
-error names the file, the line and the field.  Arc rows then go to
-``ArcProbabilities`` as decoded.
+error names the file, the line and the field.  The type check splits a
+record's rows into columns, and arc and forest columns go as decoded to the
+one check that ``ArcProbabilities`` and ``DependencyForest`` share, so a
+duplicate (modifier, head, label) row fails in either file.
 
 Every writer goes through ``atomic_open``: a file is either the old one or the
 complete new one, never a truncated mix.
@@ -37,6 +39,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .core import (
+    _ARC_FIELDS,
     ArcProbabilities,
     DependencyEdge,
     DependencyForest,
@@ -45,6 +48,7 @@ from .core import (
     NONE_RELATION,
     RelationInstance,
     Sentence,
+    _check_types,
     check_tree,
     validate_instance,
 )
@@ -87,34 +91,9 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-# The decoded JSON types each field type admits, and its name in errors.  A
-# bool is not an int here, although Python's bool subclasses int, and a float
-# field (a probability) may be written as an int.
-_JSON_TYPES = {int: ({int}, "an int"), float: ({int, float}, "a number"), str: ({str}, "a string")}
-_ARC_FIELDS = (("modifier", int), ("head", int), ("label", str), ("prob", float))
 _EDGE_FIELDS = (("head", int), ("label", str), ("modifier", int), ("prob", float))
 _SPANS = [(mention, end) for mention in ("mention1", "mention2") for end in ("start", "end")]
 _SPAN_FIELDS = tuple((f"{mention}.{end}", int) for mention, end in _SPANS)
-
-
-def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str = "") -> None:
-    """Fail unless every value in ``rows`` has a JSON type its field admits.
-
-    Every row must be a list holding one value per ``(field, kind)`` of
-    ``fields``, where ``kind`` is a key of ``_JSON_TYPES``.  The first field
-    holding a wrong type is reported with the 1-based place of its first
-    wrong row (``arc 2 field 'modifier' must be an int, got float``); without
-    ``row_name``, ``rows`` is one record's values and only the field is
-    named.  Each column's types are gathered in one pass.
-    """
-    if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(fields)}:
-        raise DataFormatError(f"each {row_name} must be a list of {len(fields)} values")
-    for (field, kind), column in zip(fields, zip(*rows)):
-        allowed, name = _JSON_TYPES[kind]
-        if not set(map(type, column)) <= allowed:
-            row, value = next((i, v) for i, v in enumerate(column, 1) if type(v) not in allowed)
-            where = f"{row_name} {row} field {field!r}" if row_name else f"field {field!r}"
-            raise DataFormatError(f"{where} must be {name}, got {type(value).__name__}")
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -227,46 +206,15 @@ def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -
             fh.write(_dumps(obj) + "\n")
 
 
-def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabilities]:
-    """Read arc-probability records in file order; any violation fails fast."""
-    out: dict[str, ArcProbabilities] = {}
-    for no, line in _read_lines(path):
-        try:
-            obj = json.loads(line)
-            sid = str(obj["id"])
-            if sid in out:
-                raise DataFormatError(f"duplicate sentence id {sid!r}")
-            _check_types([[obj["n"]]], (("n", int),))
-            _check_types(obj["arcs"], _ARC_FIELDS, "arc")
-            out[sid] = ArcProbabilities(sid, obj["n"], vocab, obj["arcs"])
-        except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}:{no}: {exc}") from exc
-    return out
-
-
-# --------------------------------------------------------------------------
-# Forest and tree files
-
-
-def _write_edge_rows(structures_by_id: dict, path: str | Path) -> None:
-    """One forest-format line per forest or tree, in map order; their edges
-    are already canonically sorted."""
-    with atomic_open(path) as fh:
-        for sid, structure in structures_by_id.items():
-            obj = {
-                "id": sid,
-                "n": structure.n,
-                "edges": [[e.head, e.label, e.modifier, e.prob] for e in structure.edges],
-            }
-            fh.write(_dumps(obj) + "\n")
-
-
-def _read_edge_rows(
+def _read_arc_records(
     path: str | Path,
     vocab: LabelVocab,
-    build: Callable[[str, int, list[DependencyEdge]], object],
+    key: str,
+    build: Callable[[str, int, LabelVocab, tuple], object],
 ) -> dict:
-    """Parse forest-format lines; ``build(sid, n, edges)`` makes each value.
+    """Parse arc-format (``key`` "arcs") or forest-format ("edges") lines in
+    file order; ``build(sid, n, vocab, columns)`` makes each value from the
+    line's type-checked ``(modifier, head, label, prob)`` columns.
 
     Any violation, including one ``build`` raises, fails with the line number.
     """
@@ -278,35 +226,59 @@ def _read_edge_rows(
             if sid in out:
                 raise DataFormatError(f"duplicate sentence id {sid!r}")
             _check_types([[obj["n"]]], (("n", int),))
-            _check_types(obj["edges"], _EDGE_FIELDS, "edge")
-            edges = [DependencyEdge(h, label, m, float(p)) for h, label, m, p in obj["edges"]]
-            for e in edges:
-                vocab.dep_index(e.label)
-            out[sid] = build(sid, obj["n"], edges)
+            if key == "arcs":
+                columns = _check_types(obj["arcs"], _ARC_FIELDS, "arc")
+            else:
+                head, label, modifier, prob = _check_types(obj["edges"], _EDGE_FIELDS, "edge")
+                columns = (modifier, head, label, prob)
+            out[sid] = build(sid, obj["n"], vocab, columns)
         except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out
 
 
+def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabilities]:
+    """Read arc-probability records in file order; any violation fails fast."""
+    return _read_arc_records(path, vocab, "arcs", ArcProbabilities._from_columns)
+
+
+# --------------------------------------------------------------------------
+# Forest and tree files
+
+
+def _write_edge_rows(structures_by_id: dict, rows: Callable, path: str | Path) -> None:
+    """One forest-format line per forest or tree, in map order; ``rows``
+    gives a structure's ``[head, label, modifier, prob]`` rows, which are
+    canonically sorted already."""
+    with atomic_open(path) as fh:
+        for sid, structure in structures_by_id.items():
+            obj = {"id": sid, "n": structure.n, "edges": rows(structure)}
+            fh.write(_dumps(obj) + "\n")
+
+
 def write_forests(forests_by_id: dict[str, DependencyForest], path: str | Path) -> None:
-    """Write forests in map order; edges are already canonically sorted."""
-    _write_edge_rows(forests_by_id, path)
-
-
-def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyForest]:
-    return _read_edge_rows(
-        path, vocab, lambda sid, n, edges: DependencyForest.from_edges(sid, n, edges, vocab)
+    """Write forests in map order, one row per entry."""
+    _write_edge_rows(
+        forests_by_id, lambda f: [[h, label, m, p] for m, h, label, p in f.iter_entries()], path
     )
 
 
+def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyForest]:
+    """Read forests; a row repeating a (head, label, modifier) triple fails."""
+    return _read_arc_records(path, vocab, "edges", DependencyForest._from_columns)
+
+
 def save_trees(trees_by_id: dict[str, DependencyTree], path: str | Path) -> None:
-    _write_edge_rows(trees_by_id, path)
+    _write_edge_rows(
+        trees_by_id, lambda t: [[e.head, e.label, e.modifier, e.prob] for e in t.edges], path
+    )
 
 
-def _tree_from_row(sid: str, n: int, edges: list[DependencyEdge]) -> DependencyTree:
-    if len(edges) != n:
-        raise DataFormatError(f"tree for {sid!r} has {len(edges)} edges for {n} tokens")
-    tree = DependencyTree.from_edges(edges)
+def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: tuple) -> DependencyTree:
+    forest = DependencyForest._from_columns(sid, n, vocab, columns)
+    if forest.num_edges != n:
+        raise DataFormatError(f"tree for {sid!r} has {forest.num_edges} edges for {n} tokens")
+    tree = DependencyTree.from_edges(forest.edges)
     problems = check_tree(tree)
     if problems:
         raise DataFormatError("; ".join(problems))
@@ -315,7 +287,7 @@ def _tree_from_row(sid: str, n: int, edges: list[DependencyEdge]) -> DependencyT
 
 def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]:
     """Read trees stored in the forest format, enforcing tree invariants."""
-    return _read_edge_rows(path, vocab, _tree_from_row)
+    return _read_arc_records(path, vocab, "edges", _tree_from_columns)
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,10 @@ dependents (child state + label embedding) and from its heads (head state +
 reversed-label embedding), then applies an LSTM-style gated cell update.  When
 confidence weighting is on, each message is scaled by the arc's probability;
 those scalars are constants and receive no gradient.  ROOT-anchored arcs never
-enter the graph.  The sums are products with a weighted head x dependent
-adjacency matrix and two label-count matrices, and their gradients are the
-transposed products.
+enter the graph: ``build_gnn_graph`` masks them out of the forest's arc arrays
+and keeps the rest in the forest's canonical order.  The sums are products
+with a weighted head x dependent adjacency matrix and two label-count
+matrices, and their gradients are the transposed products.
 
 The encoder runs over chunks of consecutive instances, their words packed
 into N rows (at most ``training.CHUNK_WORDS`` unless one instance is longer);
@@ -178,12 +179,14 @@ class EncoderGraph:
 
 
 def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph:
-    """Drop ROOT-anchored arcs and resolve label indices."""
-    arcs = [e for e in forest.edges if e.head != 0]
-    edges = np.array(
-        [(e.head, e.modifier, vocab.dep_index(e.label)) for e in arcs], dtype=np.int64
-    ).reshape(-1, 3)
-    return EncoderGraph(forest.n, edges, np.array([e.prob for e in arcs], dtype=np.float64))
+    """Drop ROOT-anchored arcs and index their labels in ``vocab``."""
+    words = forest.head != 0
+    labels = forest.label[words]
+    if forest.vocab.dep_labels != vocab.dep_labels:  # the indices are the forest vocabulary's
+        names = np.take(forest.vocab.dep_labels, labels).tolist()
+        labels = np.array([vocab.dep_index(name) for name in names], dtype=np.int64)
+    edges = np.stack((forest.head[words], forest.modifier[words], labels), axis=1)
+    return EncoderGraph(forest.n, edges, forest.prob[words])
 
 
 def _chunk_graph(graphs: Sequence[EncoderGraph]) -> EncoderGraph:

@@ -405,14 +405,7 @@ def edgewise_forest(probs: ArcProbabilities, gamma: float) -> DependencyForest:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    # The entries are unique and in canonical order already.
-    keep = probs.prob > gamma
-    labels = map(probs.vocab.dep_labels.__getitem__, probs.label[keep].tolist())
-    edges = map(
-        DependencyEdge,
-        probs.head[keep].tolist(), labels, probs.modifier[keep].tolist(), probs.prob[keep].tolist(),
-    )
-    return DependencyForest(probs.sentence_id, probs.n, tuple(edges))
+    return probs._subset(DependencyForest, probs.prob > gamma)
 
 
 def forest_density(forest: DependencyForest) -> float:
@@ -439,24 +432,18 @@ def mention_connectivity(
     for start, end in (span1, span2):
         if not (1 <= start < end <= forest.n + 1):
             raise ValueError(f"span [{start}, {end}) invalid for {forest.n} tokens")
-    adj: dict[int, list[int]] = {}
-    for e in forest.edges:
-        if e.head == 0:
-            continue
-        adj.setdefault(e.head, []).append(e.modifier)
-        adj.setdefault(e.modifier, []).append(e.head)
-    targets = set(range(span2[0], span2[1]))
-    frontier = list(range(span1[0], span1[1]))
-    seen = set(frontier)
-    while frontier:
-        node = frontier.pop()
-        if node in targets:
-            return True
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return bool(seen & targets)
+    words = forest.head != 0
+    linked = np.eye(forest.n + 1, dtype=bool)
+    linked[forest.head[words], forest.modifier[words]] = True
+    linked |= linked.T
+    reached = np.zeros(forest.n + 1, dtype=bool)
+    reached[span1[0]:span1[1]] = True
+    while not reached[span2[0]:span2[1]].any():
+        grown = linked[reached].any(axis=0)
+        if (grown == reached).all():
+            return False
+        reached = grown
+    return True
 
 
 def forest_stats(

@@ -551,7 +551,7 @@ def format_metric_log(records: Sequence[EpochRecord]) -> str:
 
 def _gradcheck_fixture(seed: int):
     """A tiny deterministic instance exercising every model path."""
-    from .core import DependencyEdge, Sentence
+    from .core import Sentence
 
     vocab = LabelVocab(
         dep_labels=("amod", "nsubj", "obj"),
@@ -560,19 +560,12 @@ def _gradcheck_fixture(seed: int):
     )
     sentence = Sentence("g0", ("w1", "w2", "w3", "w1", "w4"))
     rng = np.random.default_rng(seed)
-    tree_edges = (
-        DependencyEdge(0, "nsubj", 2, 0.9),
-        DependencyEdge(2, "amod", 1, 0.8),
-        DependencyEdge(2, "obj", 4, 0.7),
-        DependencyEdge(4, "amod", 3, 0.6),
-        DependencyEdge(4, "obj", 5, 0.5),
-    )
-    extra_edges = (
-        DependencyEdge(3, "nsubj", 1, 0.3),
-        DependencyEdge(5, "amod", 4, 0.25),
-    )
-    tree = DependencyForest.from_edges("g0", 5, tree_edges, vocab)
-    forest = DependencyForest.from_edges("g0", 5, tree_edges + extra_edges, vocab)
+    # (modifier, head, label, prob) entries
+    tree_arcs = [(2, 0, "nsubj", 0.9), (1, 2, "amod", 0.8), (4, 2, "obj", 0.7),
+                 (3, 4, "amod", 0.6), (5, 4, "obj", 0.5)]
+    extra_arcs = [(1, 3, "nsubj", 0.3), (4, 5, "amod", 0.25)]
+    tree = DependencyForest("g0", 5, vocab, tree_arcs)
+    forest = DependencyForest("g0", 5, vocab, tree_arcs + extra_arcs)
     instance = RelationInstance(sentence, (1, 2), (4, 6), "A", ("O", "B-X", "I-X", "O", "O"))
     return vocab, instance, tree, forest, rng
 

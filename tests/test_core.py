@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from forestrel.core import (
@@ -255,11 +256,11 @@ class TestDependencyForest:
 
     def test_invalid_edges_rejected(self, vocab5):
         with pytest.raises(ValueError, match="self-arc"):
-            DependencyForest("s", 2, (DependencyEdge(1, "amod", 1, 0.5),))
+            DependencyForest("s", 2, vocab5, [(1, 1, "amod", 0.5)])
         with pytest.raises(ValueError, match="head 9 out of range"):
-            DependencyForest("s", 2, (DependencyEdge(9, "amod", 1, 0.5),))
+            DependencyForest("s", 2, vocab5, [(1, 9, "amod", 0.5)])
         with pytest.raises(ValueError, match="not in \\(0, 1\\]"):
-            DependencyForest("s", 2, (DependencyEdge(0, "amod", 1, 0.0),))
+            DependencyForest("s", 2, vocab5, [(1, 0, "amod", 0.0)])
 
     def test_has_edge(self, vocab5):
         forest = DependencyForest.from_edges(
@@ -267,6 +268,58 @@ class TestDependencyForest:
         )
         assert forest.has_edge(0, "amod", 1)
         assert not forest.has_edge(0, "obj", 1)
+        assert not forest.has_edge(0, "punct", 1)
+        assert not forest.has_edge(2, "amod", 1)
+
+    def test_equality_compares_content_within_one_class(self, vocab5):
+        entries = [(1, 0, "amod", 0.4), (2, 1, "obj", 0.3)]
+        forest = DependencyForest("s", 2, vocab5, entries)
+        same = DependencyForest.from_edges(
+            "s", 2, [DependencyEdge(1, "obj", 2, 0.3), DependencyEdge(0, "amod", 1, 0.4)], vocab5
+        )
+        assert forest == same and not forest != same
+        assert forest != DependencyForest("s", 2, vocab5, entries[:1])
+        assert forest != DependencyForest("t", 2, vocab5, entries)
+        assert forest != DependencyForest("s", 2, vocab5, [(1, 0, "amod", 0.4), (2, 1, "obj", 0.5)])
+        # the same arrays as arc probabilities are another kind of object
+        probs = ArcProbabilities("s", 2, vocab5, entries)
+        assert forest != probs and probs != forest
+        assert not forest == probs and not probs == forest
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(forest)
+
+
+ARC_SET_CLASSES = pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest])
+
+
+@ARC_SET_CLASSES
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("1", 0, "amod", 0.2), "arc 2 field 'modifier' must be an int, got str"),
+        ((1.5, 0, "amod", 0.2), "arc 2 field 'modifier' must be an int, got float"),
+        ((True, 0, "amod", 0.2), "arc 2 field 'modifier' must be an int, got bool"),
+        ((1, 0.0, "amod", 0.2), "arc 2 field 'head' must be an int, got float"),
+        ((1, np.bool_(False), "amod", 0.2), "arc 2 field 'head' must be an int, got bool"),
+        ((1, 0, "amod", "0.2"), "arc 2 field 'prob' must be a number, got str"),
+        ((1, 0, "amod", None), "arc 2 field 'prob' must be a number, got NoneType"),
+        ((1, 0, "amod", True), "arc 2 field 'prob' must be a number, got bool"),
+        ((1, 0, "amod"), "each arc must be a list of 4 values"),
+    ],
+    ids=["str-modifier", "float-modifier", "bool-modifier", "float-head", "numpy-bool-head",
+         "str-prob", "none-prob", "bool-prob", "three-values"],
+)
+def test_mistyped_entry_is_named(cls, vocab5, entry, message):
+    with pytest.raises(ValueError) as info:
+        cls("s", 2, vocab5, [(2, 0, "amod", 0.5), entry])
+    assert str(info.value) == message
+
+
+@ARC_SET_CLASSES
+def test_numpy_scalars_are_accepted(cls, vocab5):
+    entries = [(np.int64(2), np.int32(0), "obj", np.float32(0.5)), [1, 2, "amod", 1]]
+    arcs = cls("s", 2, vocab5, entries)
+    assert list(arcs.iter_entries()) == [(1, 2, "amod", 1.0), (2, 0, "obj", 0.5)]
 
 
 class TestValidateInstance:

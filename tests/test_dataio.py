@@ -27,7 +27,7 @@ from forestrel.dataio import (
     synth_write,
     write_forests,
 )
-from forestrel.forest import decode_1best, edgewise_forest, merge_trees, oracle_las
+from forestrel.forest import decode_1best, decode_kbest, edgewise_forest, merge_trees, oracle_las
 
 
 class TestVocabFile:
@@ -222,6 +222,24 @@ class TestForestAndTreeFiles:
         write_forests(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("factory", ["arc_grid_factory", "tied_grid_factory"])
+    def test_edgewise_and_kbest_forests_rewrite_bytewise(self, vocab5, factory, request, tmp_path):
+        make = request.getfixturevalue(factory)
+        rng = np.random.default_rng(29)
+        grids = [make(rng, vocab5, int(rng.integers(2, 12)), sentence_id=f"g{i}") for i in range(12)]
+        builds = {
+            "edgewise": lambda p: edgewise_forest(p, 0.05),
+            "k5": lambda p: merge_trees(decode_kbest(p, 5), vocab5, p.sentence_id),
+        }
+        for name, build in builds.items():
+            forests = {p.sentence_id: build(p) for p in grids}
+            first, second = tmp_path / f"{name}-a.jsonl", tmp_path / f"{name}-b.jsonl"
+            write_forests(forests, first)
+            loaded = load_forests(first, vocab5)
+            assert loaded == forests
+            write_forests(loaded, second)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_tree_round_trip(self, tmp_path):
         data = synth_generate(SynthSpec(n_sentences=5, seed=4))
         first = tmp_path / "a.jsonl"
@@ -256,6 +274,16 @@ class TestForestAndTreeFiles:
             with pytest.raises(DataFormatError) as info:
                 load(path, vocab5)
             assert str(info.value) == f"{path}:2: {message}"
+
+    def test_duplicate_forest_row_fails_with_line(self, vocab5, tmp_path):
+        path = tmp_path / "forests.jsonl"
+        _write_rows(path, [
+            {"id": "s0", "n": 1, "edges": [[0, "amod", 1, 0.5]]},
+            {"id": "s1", "n": 2, "edges": [[0, "amod", 1, 0.5], [0, "obj", 2, 0.2], [0, "amod", 1, 0.9]]},
+        ])
+        with pytest.raises(DataFormatError) as info:
+            load_forests(path, vocab5)
+        assert str(info.value) == f"{path}:2: duplicate arc entry (1, 0, 'amod')"
 
     def test_tree_file_rejects_cycles(self, vocab5, tmp_path):
         path = tmp_path / "trees.jsonl"

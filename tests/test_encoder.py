@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from forestrel.core import DependencyEdge, DependencyForest, LabelVocab, Sentence
+from forestrel.core import DependencyEdge, DependencyForest, LabelLookupError, LabelVocab, Sentence
 from forestrel.encoder import (
     Checkpoint,
     ModelConfig,
@@ -256,6 +256,15 @@ class TestGraph:
         non_root = [e for e in forest.edges if e.head != 0]
         assert graph.edges[:, :2].tolist() == [[e.head, e.modifier] for e in non_root]
         assert graph.probs.tolist() == [e.prob for e in non_root]
+
+    def test_labels_are_indexed_in_the_model_vocabulary(self, vocab5, tiny_setup):
+        _, _, forest, graph, _ = tiny_setup
+        reordered = LabelVocab(tuple(reversed(vocab5.dep_labels)), vocab5.relations, vocab5.ne_tags)
+        other = DependencyForest("s", forest.n, reordered, forest.iter_entries())
+        assert np.array_equal(build_gnn_graph(other, vocab5).edges, graph.edges)
+        narrow = LabelVocab(vocab5.dep_labels[:1], vocab5.relations, vocab5.ne_tags)
+        with pytest.raises(LabelLookupError):
+            build_gnn_graph(forest, narrow)
 
 
 def _doubled_pairs(forest):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from forestrel import core, dataio, forest as forestmod
 from forestrel.core import (
     ArcProbabilities,
     DependencyEdge,
@@ -36,6 +37,7 @@ from forestrel.forest import (
     merge_trees,
     oracle_las,
 )
+from forestrel.encoder import build_gnn_graph
 
 
 def _key(tree, vocab):
@@ -415,6 +417,41 @@ class TestEdgewise:
             edgewise_forest(probs, -0.1)
         with pytest.raises(ValueError):
             edgewise_forest(probs, 1.5)
+
+    @pytest.mark.parametrize("factory", ["arc_grid_factory", "tied_grid_factory"])
+    def test_equals_the_forest_of_the_entries_above_gamma(self, vocab5, factory, request):
+        make = request.getfixturevalue(factory)
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            n = int(rng.integers(2, 16))
+            probs = make(rng, vocab5, n, sentence_id=f"e{trial}")
+            for gamma in (0.0, float(rng.choice(probs.prob)), 0.1, 1.0):
+                kept = [
+                    DependencyEdge(h, label, m, p)
+                    for m, h, label, p in probs.iter_entries()
+                    if p > gamma
+                ]
+                kept = [kept[i] for i in rng.permutation(len(kept))]
+                want = DependencyForest.from_edges(probs.sentence_id, n, kept, vocab5)
+                assert edgewise_forest(probs, gamma) == want
+
+    def test_loading_thresholding_and_graphs_build_no_edges(
+        self, vocab5, arc_grid_factory, tmp_path, monkeypatch
+    ):
+        rng = np.random.default_rng(31)
+        grids = [arc_grid_factory(rng, vocab5, 8, sentence_id=f"g{i}") for i in range(4)]
+        path = tmp_path / "forests.jsonl"
+        dataio.write_forests({p.sentence_id: edgewise_forest(p, 0.05) for p in grids}, path)
+
+        def no_edge(*args):
+            raise AssertionError("a DependencyEdge was built")
+
+        for module in (core, dataio, forestmod):
+            monkeypatch.setattr(module, "DependencyEdge", no_edge)
+        loaded = dataio.load_forests(path, vocab5)
+        for probs in grids:
+            assert loaded[probs.sentence_id] == edgewise_forest(probs, 0.05)
+            assert len(build_gnn_graph(loaded[probs.sentence_id], vocab5).edges) > 0
 
 
 class TestInjectFallback:
