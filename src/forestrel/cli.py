@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import dataio, forest as forestmod, training
-from .core import LabelVocab
+from .core import LabelVocab, RelationInstance
 from .encoder import ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig
 
@@ -30,13 +30,13 @@ def _print_config(args: argparse.Namespace) -> None:
 
 
 def _aligned_lists(
-    corpus: dataio.CorpusLoadResult,
+    instances: list[RelationInstance],
     by_id: dict,
     what: str,
 ):
     """Align id-keyed records with corpus order; every instance needs a match."""
     out = []
-    for inst in corpus.instances:
+    for inst in instances:
         sid = inst.sentence.id
         if sid not in by_id:
             raise CliError(f"no {what} record for sentence {sid!r}")
@@ -93,16 +93,12 @@ def cmd_forest(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     vocab = dataio.load_vocab(args.vocab)
-    corpus = dataio.load_corpus(args.corpus, vocab)
-    for line in corpus.skipped:
-        print(f"skipped: {line}", file=sys.stderr)
-    forest_map = dataio.load_forests(args.forests, vocab)
-    forests = _aligned_lists(corpus, forest_map, "forest")
+    instances, forests, _ = _load_split(args.corpus, args.forests, vocab, "forest")
     gold = None
     if args.gold is not None:
         gold_map = dataio.load_trees(args.gold, vocab)
-        gold = _aligned_lists(corpus, gold_map, "gold tree")
-    stats = forestmod.forest_stats(forests, list(corpus.instances), gold)
+        gold = _aligned_lists(instances, gold_map, "gold tree")
+    stats = forestmod.forest_stats(forests, instances, gold)
     header = ["#Edge/#Node"]
     row = [f"{stats.density:.2f}"]
     if stats.oracle_las is not None:
@@ -128,7 +124,7 @@ def _load_split(
         if forests_path is None:
             raise CliError(f"--structure {structure} requires a forest file")
         forest_map = dataio.load_forests(forests_path, vocab)
-        forests = _aligned_lists(corpus, forest_map, "forest")
+        forests = _aligned_lists(instances, forest_map, "forest")
     return instances, forests, len(corpus.skipped)
 
 

@@ -49,6 +49,7 @@ from .core import (
     RelationInstance,
     Sentence,
     _check_types,
+    ancestors_of,
     check_tree,
     validate_instance,
 )
@@ -387,14 +388,7 @@ def _mention_pair(
     graph the encoder actually sees.
     """
     n = len(parents)
-    ancestors: list[set[int]] = [set()] * (n + 1)
-    for m in range(1, n + 1):
-        chain = set()
-        node = m
-        while node != 0:
-            node = parents[node - 1]
-            chain.add(node)
-        ancestors[m] = chain
+    ancestors = [ancestors_of(parents, m) for m in range(n + 1)]
     pairs = [
         (a, b)
         for a in range(1, n + 1)

@@ -469,11 +469,9 @@ class ForwardTrace:
 
     token_ids: np.ndarray
     pool: np.ndarray
-    graph: EncoderGraph | None
     operators: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(repr=False)
     emb_mask: np.ndarray | None
     lstm: _LstmCache = field(repr=False)
-    h0: np.ndarray
     grn_caches: list[GrnStepCache] = field(repr=False)
     h_final: np.ndarray
     pooled_mask: np.ndarray | None
@@ -486,18 +484,18 @@ class ForwardTrace:
 def forward_instance(
     params: ModelParams,
     config: ModelConfig,
-    token_ids: np.ndarray | Sequence[np.ndarray],
-    span1: tuple[int, int] | Sequence[tuple[int, int]],
-    span2: tuple[int, int] | Sequence[tuple[int, int]],
-    graph: EncoderGraph | Sequence[EncoderGraph] | None,
+    token_ids: Sequence[np.ndarray],
+    span1: Sequence[tuple[int, int]],
+    span2: Sequence[tuple[int, int]],
+    graph: Sequence[EncoderGraph] | None,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
-    """Full forward pass over one instance or over a chunk of instances.
+    """Full forward pass over a chunk of instances.
 
-    A chunk passes one sequence per argument (token ids, spans, graphs), an
-    entry per instance; one instance runs as a chunk of one.  ``rel_logits``
-    has a row per instance, ``h_final`` and ``ner_logits`` a row per word.
+    Each argument (token ids, spans, graphs) holds one entry per instance; one
+    instance runs as a chunk of one.  ``rel_logits`` has a row per instance,
+    ``h_final`` and ``ner_logits`` a row per word.
 
     ``graph=None`` selects the text-only path: mention pooling and the NER head
     read the sequence states directly and the graph update is skipped entirely.
@@ -506,9 +504,6 @@ def forward_instance(
     instance in chunk order, the embedding mask ``(n, dim_word)`` is drawn and
     then the mention mask ``(2 * dim_state,)``, as one instance at a time would.
     """
-    if np.ndim(span1) == 1:
-        token_ids, span1, span2 = [token_ids], [span1], [span2]
-        graph = None if graph is None else [graph]
     use_dropout = train and config.dropout > 0.0
     if use_dropout and rng is None:
         raise ValueError("training-mode forward with dropout needs an rng")
@@ -542,11 +537,9 @@ def forward_instance(
     return ForwardTrace(
         token_ids=ids,
         pool=pool,
-        graph=graph,
         operators=operators,
         emb_mask=emb_mask,
         lstm=lstm,
-        h0=h0,
         grn_caches=grn_caches,
         h_final=h_final,
         pooled_mask=pooled_mask,

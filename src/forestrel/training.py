@@ -1,10 +1,11 @@
-"""Losses, Adam, the training loop, evaluation, and the gradient checker.
+"""The chunk loss, Adam, the training loop, evaluation, and the gradient checker.
 
-The per-instance loss is the relation negative log-likelihood plus, when the
-NER flag is on, the mean per-token tag negative log-likelihood.  Batch loss is
-the mean over the batch's instances.  L2 regularization enters Adam as
-``2 * l2 * theta`` added to the incoming gradient of weight matrices only
-(never biases or embedding tables).
+The loss is defined over a chunk (see ``_chunks``).  An instance costs the
+negative log-likelihood of its gold relation plus, when the NER flag is on, the
+mean over its words of the gold tags' negative log-likelihoods; a chunk costs
+the sum over its instances, and a batch the mean.  L2 regularization enters
+Adam as ``2 * l2 * theta`` added to the incoming gradient of weight matrices
+only (never biases or embedding tables).
 
 All randomness (parameter init, epoch shuffling, dropout) derives from the
 single seed in ModelConfig, so identical configurations reproduce identical
@@ -72,6 +73,12 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
 
 
+# Adam's moment decay rates and the denominator's stabilising constant.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
     """Adam first/second moment estimates plus the shared step counter."""
@@ -79,9 +86,6 @@ class OptimizerState:
     first: dict[str, np.ndarray]
     second: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
@@ -120,54 +124,16 @@ def adam_step(
             g = np.add(g, np.multiply(theta, 2.0 * config.l2, out=a), out=a)
         m = state.first[name]
         v = state.second[name]
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=b)
-        v *= state.beta2
-        v += np.multiply(np.multiply(g, g, out=b), 1.0 - state.beta2, out=b)
-        np.sqrt(np.divide(v, 1.0 - state.beta2**t, out=b), out=b)
-        b += state.eps  # sqrt(v_hat) + eps
-        np.divide(m, 1.0 - state.beta1**t, out=a)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=b)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(g, g, out=b), 1.0 - ADAM_BETA2, out=b)
+        np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**t, out=b), out=b)
+        b += ADAM_EPS  # sqrt(v_hat) + eps
+        np.divide(m, 1.0 - ADAM_BETA1**t, out=a)
         a *= config.learning_rate  # lr * m_hat
         a /= b
         theta -= a
-
-
-def relation_loss(rel_logits: np.ndarray, gold_index: int) -> float:
-    """Negative log-likelihood of the gold relation, via log-softmax."""
-    if not 0 <= gold_index < rel_logits.shape[0]:
-        raise ValueError(f"relation index {gold_index} outside 0..{rel_logits.shape[0] - 1}")
-    return float(-log_softmax(rel_logits)[gold_index])
-
-
-def relation_loss_grad(rel_logits: np.ndarray, gold_index: int) -> np.ndarray:
-    grad = softmax(rel_logits)
-    grad[gold_index] -= 1.0
-    return grad
-
-
-def ner_loss(ner_logits: np.ndarray, gold_tags: Sequence[int]) -> float:
-    """Mean per-token negative log-likelihood of the gold tag sequence."""
-    n = ner_logits.shape[0]
-    if len(gold_tags) != n:
-        raise ValueError(f"{len(gold_tags)} gold tags for {n} tokens")
-    logp = log_softmax(ner_logits)
-    return float(-sum(logp[i, tag] for i, tag in enumerate(gold_tags)) / n)
-
-
-def ner_loss_grad(ner_logits: np.ndarray, gold_tags: Sequence[int]) -> np.ndarray:
-    n = ner_logits.shape[0]
-    grad = softmax(ner_logits)
-    grad[np.arange(n), np.asarray(gold_tags)] -= 1.0
-    return grad / n
-
-
-def total_loss(rel: float, ner: float | None, use_ner: bool) -> float:
-    """Plain sum of the two terms when the NER flag is on, else the relation term."""
-    if use_ner:
-        if ner is None:
-            raise ValueError("NER loss requested but no NER term given")
-        return rel + ner
-    return rel
 
 
 @dataclass(frozen=True)
@@ -257,6 +223,11 @@ def _encode_instances(
                 raise ValueError(
                     f"instance {inst.sentence.id!r} has no NE tags but the NER loss is on"
                 )
+            if len(inst.ne_tags) != inst.sentence.n:
+                raise ValueError(
+                    f"instance {inst.sentence.id!r} has {len(inst.ne_tags)} NE tags "
+                    f"for {inst.sentence.n} tokens"
+                )
             try:
                 tags = tuple(vocab.tag_index(t) for t in inst.ne_tags)
             except KeyError as exc:
@@ -311,22 +282,31 @@ def _forward_chunk(
 def _loss_and_seeds(
     trace: ForwardTrace, chunk: Sequence[_Encoded], use_ner: bool
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """The summed loss of the chunk's instances and its seeds on the head logits."""
-    d_rel = np.empty_like(trace.rel_logits)
-    d_ner = np.empty_like(trace.ner_logits) if use_ner else None
-    total = 0.0
-    offset = 0
-    for i, enc in enumerate(chunk):
-        l_rel = relation_loss(trace.rel_logits[i], enc.relation_index)
-        d_rel[i] = relation_loss_grad(trace.rel_logits[i], enc.relation_index)
-        l_ner = None
-        if use_ner:
-            words = slice(offset, offset + len(enc.token_ids))
-            l_ner = ner_loss(trace.ner_logits[words], enc.tag_indices)
-            d_ner[words] = ner_loss_grad(trace.ner_logits[words], enc.tag_indices)
-            offset = words.stop
-        total += total_loss(l_rel, l_ner, use_ner)
-    return total, d_rel, d_ner
+    """The summed loss of the chunk's instances and its seeds on the head logits.
+
+    Each seed is softmax minus one-hot at the gold entries; a tag row is also
+    divided by its instance's word count.  An instance's tag term and the
+    chunk's total are sequential Python sums, in word and instance order.
+    """
+    rows = np.arange(len(chunk))
+    gold = np.array([enc.relation_index for enc in chunk])
+    losses = -log_softmax(trace.rel_logits)[rows, gold]
+    d_rel = trace.rel_probs.copy()
+    d_rel[rows, gold] -= 1.0
+    d_ner = None
+    if use_ner:
+        lengths = [len(enc.token_ids) for enc in chunk]
+        words = np.arange(sum(lengths))
+        tags = np.concatenate([enc.tag_indices for enc in chunk])
+        picked = log_softmax(trace.ner_logits)[words, tags]
+        ends = np.cumsum(lengths)
+        losses = [
+            rel + -sum(picked[end - n : end]) / n for rel, n, end in zip(losses, lengths, ends)
+        ]
+        d_ner = softmax(trace.ner_logits)
+        d_ner[words, tags] -= 1.0
+        d_ner /= np.repeat(lengths, lengths)[:, None]
+    return float(sum(losses)), d_rel, d_ner
 
 
 def _chunk_loss(

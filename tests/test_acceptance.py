@@ -194,11 +194,11 @@ def test_c06_unit_weights_reproduce_unweighted_bitwise():
     )
     params = init_params(config_plain, vocab, num_words=8)
     token_ids = np.arange(1, inst.sentence.n + 1) % 8
-    spans = (inst.mention1, inst.mention2)
+    spans = ([inst.mention1], [inst.mention2])
 
     graph_unit = build_gnn_graph(unit, vocab)
-    plain = forward_instance(params, config_plain, token_ids, *spans, graph_unit)
-    heavy = forward_instance(params, config_weighted, token_ids, *spans, graph_unit)
+    plain = forward_instance(params, config_plain, [token_ids], *spans, [graph_unit])
+    heavy = forward_instance(params, config_weighted, [token_ids], *spans, [graph_unit])
     identical = (
         np.array_equal(plain.h_final, heavy.h_final)
         and np.array_equal(plain.rel_logits, heavy.rel_logits)
@@ -211,8 +211,8 @@ def test_c06_unit_weights_reproduce_unweighted_bitwise():
     damped_edges[non_root] = DependencyEdge(e.head, e.label, e.modifier, 0.5)
     damped = DependencyForest.from_edges(base.sentence_id, base.n, damped_edges, vocab)
     graph_damped = build_gnn_graph(damped, vocab)
-    plain_d = forward_instance(params, config_plain, token_ids, *spans, graph_damped)
-    heavy_d = forward_instance(params, config_weighted, token_ids, *spans, graph_damped)
+    plain_d = forward_instance(params, config_plain, [token_ids], *spans, [graph_damped])
+    heavy_d = forward_instance(params, config_weighted, [token_ids], *spans, [graph_damped])
     differs = not np.array_equal(plain_d.h_final, heavy_d.h_final)
     _verdict(
         "confidence weighting identity",

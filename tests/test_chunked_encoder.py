@@ -299,18 +299,6 @@ def test_results_do_not_depend_on_chunk_boundaries(structure):
         _assert_close(split_grads[name], whole_grads[name], name)
 
 
-def test_single_instance_call_is_a_chunk_of_one():
-    rng = np.random.default_rng(6)
-    config = _config(weighted=False, ner=True, steps=2)
-    params = init_params(config, GRAD_VOCAB, num_words=8)
-    token_ids, span1, span2, graphs = _chunk_inputs(rng, (6,), "forest")
-    one = forward_instance(params, config, token_ids[0], span1[0], span2[0], graphs[0])
-    chunk = forward_instance(params, config, token_ids, span1, span2, graphs)
-    assert one.rel_logits.shape == (1, len(GRAD_VOCAB.relations))
-    assert np.array_equal(one.rel_logits, chunk.rel_logits)
-    assert np.array_equal(one.ner_logits, chunk.ner_logits)
-
-
 def test_padded_chunk_finite_differences():
     # Lengths 2, 5 and 9 in one chunk: the two short sentences are padded to
     # nine steps in both LSTM directions.

@@ -381,12 +381,12 @@ class TestMessages:
             vocab5,
         )
         graph = build_gnn_graph(unit, vocab5)
-        plain = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
+        plain = forward_instance(params, config, [token_ids], [(1, 2)], [(3, 5)], [graph])
         weighted_config = ModelConfig(
             dim_word=3, dim_label=2, dim_hidden=2, steps=2, dropout=0.0,
             weighted=True, seed=1,
         )
-        heavy = forward_instance(params, weighted_config, token_ids, (1, 2), (3, 5), graph)
+        heavy = forward_instance(params, weighted_config, [token_ids], [(1, 2)], [(3, 5)], [graph])
         assert np.array_equal(plain.h_final, heavy.h_final)
         assert np.array_equal(plain.rel_probs, heavy.rel_probs)
 
@@ -446,28 +446,31 @@ class TestPoolingAndHeads:
 class TestForwardBackward:
     def test_textonly_skips_graph(self, vocab5, tiny_setup):
         config, params, _, _, token_ids = tiny_setup
-        trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph=None)
-        assert trace.graph is None
+        trace = forward_instance(params, config, [token_ids], [(1, 2)], [(3, 5)], graph=None)
+        assert trace.operators is None
         assert trace.grn_caches == []
-        assert np.array_equal(trace.h_final, trace.h0)
+        h0, _ = bilstm_forward(params, params["word_emb"][token_ids], [len(token_ids)])
+        assert np.array_equal(trace.h_final, h0)
 
     def test_dropout_needs_rng_in_training_mode(self, vocab5):
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, dropout=0.5)
         params = init_params(config, vocab5, num_words=5)
         with pytest.raises(ValueError, match="rng"):
-            forward_instance(params, config, np.array([1, 2]), (1, 2), (2, 3), None, train=True)
+            forward_instance(
+                params, config, [np.array([1, 2])], [(1, 2)], [(2, 3)], None, train=True
+            )
 
     def test_eval_mode_ignores_dropout(self, vocab5):
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, dropout=0.5)
         params = init_params(config, vocab5, num_words=5)
-        a = forward_instance(params, config, np.array([1, 2]), (1, 2), (2, 3), None)
-        b = forward_instance(params, config, np.array([1, 2]), (1, 2), (2, 3), None)
+        a = forward_instance(params, config, [np.array([1, 2])], [(1, 2)], [(2, 3)], None)
+        b = forward_instance(params, config, [np.array([1, 2])], [(1, 2)], [(2, 3)], None)
         assert np.array_equal(a.rel_probs, b.rel_probs)
         assert a.emb_mask is None and a.pooled_mask is None
 
     def test_zero_seed_gives_zero_gradients(self, vocab5, tiny_setup):
         config, params, _, graph, token_ids = tiny_setup
-        trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
+        trace = forward_instance(params, config, [token_ids], [(1, 2)], [(3, 5)], [graph])
         grads = params.zero_grads()
         backward(params, config, trace, grads, np.zeros((1, 3)))
         for name, g in grads.items():
@@ -475,7 +478,7 @@ class TestForwardBackward:
 
     def test_backward_adds_into_the_buffer(self, vocab5, tiny_setup):
         config, params, _, graph, token_ids = tiny_setup
-        trace = forward_instance(params, config, token_ids, (1, 2), (3, 5), graph)
+        trace = forward_instance(params, config, [token_ids], [(1, 2)], [(3, 5)], [graph])
         d_rel = softmax(trace.rel_logits)
         d_rel[0, 0] -= 1.0
         fresh = params.zero_grads()
@@ -507,13 +510,14 @@ class TestForwardBackward:
             graph = build_gnn_graph(doubled, vocab5)
             config = dataclasses.replace(config, weighted=True)
         gold = 0
-        spans = ((1, 2), (3, 5))
+        spans = ([(1, 2)], [(3, 5)])
+        graphs = None if graph is None else [graph]
 
         def loss():
-            trace = forward_instance(params, config, token_ids, *spans, graph)
+            trace = forward_instance(params, config, [token_ids], *spans, graphs)
             return float(-log_softmax(trace.rel_logits)[0, gold])
 
-        trace = forward_instance(params, config, token_ids, *spans, graph)
+        trace = forward_instance(params, config, [token_ids], *spans, graphs)
         d_rel = softmax(trace.rel_logits)
         d_rel[0, gold] -= 1.0
         grads = params.zero_grads()

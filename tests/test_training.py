@@ -1,15 +1,29 @@
 """Losses, optimizer, metrics, and the training loop."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from forestrel import training
 from forestrel.core import RelationInstance, Sentence
 from forestrel.dataio import SynthSpec, synth_generate
-from forestrel.encoder import ModelConfig, ModelParams, checkpoint_to_bytes
+from forestrel.encoder import (
+    ModelConfig,
+    ModelParams,
+    build_word_index,
+    checkpoint_to_bytes,
+    init_params,
+    log_softmax,
+    softmax,
+)
 from forestrel.forest import edgewise_forest
 from forestrel.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     OptimizationError,
     OptimizerState,
     TrainConfig,
@@ -17,61 +31,144 @@ from forestrel.training import (
     adam_step,
     evaluate,
     format_metric_log,
-    ner_loss,
-    ner_loss_grad,
     predict,
-    relation_loss,
-    relation_loss_grad,
     score_predictions,
-    total_loss,
     train,
 )
 
 
+def _chunk_loss_of(rel_logits, gold, ner_logits=None, tags=None):
+    """``_loss_and_seeds`` on given head logits: instance i has relation row i
+    and, with ``ner_logits``, the next ``len(tags[i])`` word rows."""
+    rel_logits = np.asarray(rel_logits, dtype=float).reshape(len(gold), -1)
+    tags = tags if tags is not None else [(0,)] * len(gold)
+    chunk = [
+        training._Encoded(np.zeros(len(t), dtype=np.int64), (1, 2), (1, 2), None, g, tuple(t))
+        for g, t in zip(gold, tags)
+    ]
+    trace = SimpleNamespace(
+        rel_logits=rel_logits, rel_probs=softmax(rel_logits), ner_logits=ner_logits
+    )
+    return training._loss_and_seeds(trace, chunk, ner_logits is not None)
+
+
 class TestLosses:
     def test_uniform_logits_cost_log_k(self):
-        assert relation_loss(np.zeros(6), 2) == pytest.approx(math.log(6))
-        assert relation_loss(np.full(4, 3.7), 0) == pytest.approx(math.log(4))
+        assert _chunk_loss_of(np.zeros(6), [2])[0] == pytest.approx(math.log(6))
+        assert _chunk_loss_of(np.full(4, 3.7), [0])[0] == pytest.approx(math.log(4))
+        # a chunk costs the sum over its instances
+        assert _chunk_loss_of(np.zeros((3, 5)), [0, 4, 2])[0] == pytest.approx(3 * math.log(5))
 
     def test_confident_correct_prediction_costs_little(self):
         logits = np.array([10.0, 0.0, 0.0])
-        assert relation_loss(logits, 0) < 1e-4
-
-    def test_gold_index_bounds(self):
-        with pytest.raises(ValueError):
-            relation_loss(np.zeros(3), 3)
-        with pytest.raises(ValueError):
-            relation_loss(np.zeros(3), -1)
+        assert _chunk_loss_of(logits, [0])[0] < 1e-4
 
     def test_relation_grad_is_softmax_minus_onehot(self):
-        logits = np.array([1.0, 2.0, -0.5])
-        grad = relation_loss_grad(logits, 1)
-        e = np.exp(logits - logits.max())
-        expected = e / e.sum()
-        expected[1] -= 1.0
-        np.testing.assert_allclose(grad, expected, rtol=1e-12)
-        assert grad.sum() == pytest.approx(0.0, abs=1e-12)
+        logits = np.array([[1.0, 2.0, -0.5], [0.3, -1.0, 4.0]])
+        _, grad, d_ner = _chunk_loss_of(logits, [1, 0])
+        assert d_ner is None
+        for row, gold in ((0, 1), (1, 0)):
+            e = np.exp(logits[row] - logits[row].max())
+            expected = e / e.sum()
+            expected[gold] -= 1.0
+            np.testing.assert_allclose(grad[row], expected, rtol=1e-12)
+            assert grad[row].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_ner_loss_is_mean_over_tokens(self):
-        logits = np.zeros((2, 3))
-        assert ner_loss(logits, [0, 2]) == pytest.approx(math.log(3))
-        with pytest.raises(ValueError):
-            ner_loss(logits, [0])
+        # uniform relation and tag logits: log 3 for the relation, and the
+        # mean over two words of log 3 each for the tags
+        total = _chunk_loss_of(np.zeros(3), [0], np.zeros((2, 3)), [(0, 2)])[0]
+        assert total == pytest.approx(2 * math.log(3))
+        # a 2-word and a 4-word instance: each adds the mean over its own words
+        ner = np.zeros((6, 3))
+        ner[2:, 0] = math.log(2.0)  # words of the second instance: p(tag 0) = 1/2
+        total = _chunk_loss_of(np.zeros((2, 3)), [0, 0], ner, [(1, 1), (0, 0, 0, 0)])[0]
+        assert total == pytest.approx(3 * math.log(3) + math.log(2))
 
     def test_ner_grad_scaled_by_token_count(self):
-        logits = np.zeros((4, 3))
-        grad = ner_loss_grad(logits, [0, 1, 2, 0])
+        _, _, grad = _chunk_loss_of(np.zeros(3), [0], np.zeros((4, 3)), [(0, 1, 2, 0)])
         assert grad.shape == (4, 3)
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
         # uniform softmax is 1/3; the gold column subtracts 1; everything / 4
         assert grad[0, 0] == pytest.approx((1 / 3 - 1) / 4)
         assert grad[0, 1] == pytest.approx((1 / 3) / 4)
+        # in a chunk each tag row is scaled by its own instance's word count
+        _, _, grad = _chunk_loss_of(np.zeros((2, 3)), [0, 0], np.zeros((6, 3)),
+                                    [(0, 0, 0, 0), (1, 1)])
+        assert grad[0, 0] == pytest.approx((1 / 3 - 1) / 4)
+        assert grad[4, 1] == pytest.approx((1 / 3 - 1) / 2)
+        assert grad[5, 0] == pytest.approx((1 / 3) / 2)
 
     def test_total_loss_combination(self):
-        assert total_loss(1.5, 0.5, use_ner=True) == 2.0
-        assert total_loss(1.5, None, use_ner=False) == 1.5
-        with pytest.raises(ValueError):
-            total_loss(1.5, None, use_ner=True)
+        rng = np.random.default_rng(4)
+        rel, ner = rng.normal(size=(2, 3)), rng.normal(size=(5, 3))
+        tags = [(0, 1), (2, 0, 1)]
+        rel_only = _chunk_loss_of(rel, [2, 1], tags=tags)[0]
+        with_ner = _chunk_loss_of(rel, [2, 1], ner, tags)[0]
+        tag_terms = [
+            -log_softmax(ner[words])[np.arange(len(t)), list(t)].mean()
+            for words, t in ((slice(0, 2), tags[0]), (slice(2, 5), tags[1]))
+        ]
+        assert with_ner == pytest.approx(rel_only + sum(tag_terms), rel=1e-12)
+
+
+def _reference_loss_and_seeds(trace, chunk, use_ner):
+    """The chunk's loss and seeds one instance at a time, by the per-instance
+    formulas: each relation row and each instance's tag rows on their own."""
+    d_rel = np.empty_like(trace.rel_logits)
+    d_ner = np.empty_like(trace.ner_logits) if use_ner else None
+    total, offset = 0.0, 0
+    for i, enc in enumerate(chunk):
+        row = trace.rel_logits[i]
+        loss = float(-log_softmax(row)[enc.relation_index])
+        d_rel[i] = softmax(row)
+        d_rel[i, enc.relation_index] -= 1.0
+        if use_ner:
+            n = len(enc.token_ids)
+            words = trace.ner_logits[offset : offset + n]
+            logp = log_softmax(words)
+            loss = loss + float(-sum(logp[j, tag] for j, tag in enumerate(enc.tag_indices)) / n)
+            grad = softmax(words)
+            grad[np.arange(n), np.asarray(enc.tag_indices)] -= 1.0
+            d_ner[offset : offset + n] = grad / n
+            offset += n
+        total += loss
+    return total, d_rel, d_ner
+
+
+@pytest.mark.parametrize("use_ner", [False, True])
+def test_chunk_loss_matches_per_instance_reference_bitwise(use_ner):
+    data = synth_generate(SynthSpec(n_sentences=5, min_len=3, max_len=14, seed=34))
+    instances = list(data.instances)
+    lengths = [inst.sentence.n for inst in instances]
+    assert max(lengths) >= 9, lengths
+    words = training._build_words(instances)
+    chunk = training._encode_instances(
+        instances, None, data.vocab, build_word_index(words), "textonly", use_ner
+    )
+    config = ModelConfig(dim_word=4, dim_label=3, dim_hidden=4, ner_head=True, seed=2)
+    params = init_params(config, data.vocab, len(words))
+    trace = training._forward_chunk(params, config, chunk, train=False, rng=None)
+
+    total, d_rel, d_ner = training._loss_and_seeds(trace, chunk, use_ner)
+    want_total, want_rel, want_ner = _reference_loss_and_seeds(trace, chunk, use_ner)
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert d_rel.tobytes() == want_rel.tobytes()
+    if use_ner:
+        assert d_ner.tobytes() == want_ner.tobytes()
+        # On this chunk, summing each instance's tag terms with numpy's
+        # pairwise sum or with np.add.reduceat changes the total, so the
+        # comparison above would catch either.
+        gold = [enc.relation_index for enc in chunk]
+        rel = -log_softmax(trace.rel_logits)[np.arange(len(chunk)), gold]
+        tags = np.concatenate([enc.tag_indices for enc in chunk])
+        picked = log_softmax(trace.ner_logits)[np.arange(len(tags)), tags]
+        starts = np.cumsum(lengths) - lengths
+        pairwise = [np.sum(picked[s : s + n]) for s, n in zip(starts, lengths)]
+        for tag_sums in (pairwise, np.add.reduceat(picked, starts)):
+            assert sum(r + -t / n for r, t, n in zip(rel, tag_sums, lengths)) != want_total
+    else:
+        assert d_ner is None
 
 
 class TestAdam:
@@ -127,7 +224,7 @@ class TestAdam:
         theta = {name: t.copy() for name, t in start.items()}
         first = {name: np.zeros_like(t) for name, t in start.items()}
         second = {name: np.zeros_like(t) for name, t in start.items()}
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         for t in range(1, 6):
             grads = {
                 name: rng.choice([-1.0, 1.0], size=x.shape) * 10.0 ** rng.uniform(-8, 2, x.shape)
@@ -309,6 +406,25 @@ class TestTrainLoop:
         tc = TrainConfig(epochs=1)
         with pytest.raises(ValueError, match="no NE tags"):
             train(stripped, forests, stripped, forests, data.vocab, mc, tc, "forest")
+
+    def test_short_tag_list_fails_before_training(self, monkeypatch):
+        data, forests = _tiny_dataset(4, seed=7)
+        instances = list(data.instances)
+        inst = instances[2]
+        n = inst.sentence.n
+        instances[2] = RelationInstance(
+            inst.sentence, inst.mention1, inst.mention2, inst.relation, inst.ne_tags[:-1]
+        )
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("an epoch started")
+
+        monkeypatch.setattr(training, "_forward_chunk", no_forward)
+        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, ner_head=True)
+        message = f"instance {inst.sentence.id!r} has {n - 1} NE tags for {n} tokens"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(instances, forests, instances, forests, data.vocab, mc,
+                  TrainConfig(epochs=1), "forest")
 
     def test_ner_flag_adds_head_to_checkpoint(self):
         data, forests = _tiny_dataset(6, seed=8)
