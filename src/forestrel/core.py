@@ -25,14 +25,16 @@ UNK_TOKEN = "<unk>"
 MASS_TOLERANCE = 1e-6
 LOG_SCORE_TOLERANCE = 1e-9
 
-# The types each kind of field admits, and its name in errors.  A bool is not
-# an int here, although Python's bool subclasses int, and a float field (a
-# probability) may hold an int.  JSON decodes to int, float and str, so rows
-# read from files and rows from Python callers meet one rule.
+# The types each kind of field admits, and its name in errors.  A bool is
+# admitted only by the bool kind, although Python's bool subclasses int, and a
+# float field (a probability) may hold an int.  JSON decodes to int, float,
+# str and bool, so rows read from files and rows from Python callers meet one
+# rule.
 _FIELD_TYPES = {
     int: ((int, np.integer), "an int"),
     float: ((int, float, np.integer, np.floating), "a number"),
     str: (str, "a string"),
+    bool: (bool, "a bool"),
 }
 _ARC_FIELDS = (("modifier", int), ("head", int), ("label", str), ("prob", float))
 
@@ -150,7 +152,8 @@ def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str =
     columns = tuple(zip(*rows)) or ((),) * len(fields)
     for (field, kind), column in zip(fields, columns):
         allowed, name = _FIELD_TYPES[kind]
-        wrong = {t for t in set(map(type, column)) if not issubclass(t, allowed) or t is bool}
+        types = set(map(type, column))
+        wrong = {t for t in types if not issubclass(t, allowed) or (t is bool) != (kind is bool)}
         if wrong:
             row, value = next((i, v) for i, v in enumerate(column, 1) if type(v) in wrong)
             where = f"{row_name} {row} field {field!r}" if row_name else f"field {field!r}"
@@ -446,6 +449,27 @@ class RelationInstance:
         object.__setattr__(self, "mention2", tuple(self.mention2))
         if self.ne_tags is not None:
             object.__setattr__(self, "ne_tags", tuple(self.ne_tags))
+
+
+def check_alignment(
+    instances: Sequence[RelationInstance], forests: Sequence[DependencyForest]
+) -> None:
+    """Fail unless ``forests[i]`` is over the sentence of ``instances[i]``:
+    equal counts, equal ids (when the forest carries one) and equal lengths."""
+    if len(forests) != len(instances):
+        raise ValueError(
+            f"{len(forests)} forests vs {len(instances)} instances: collections misaligned"
+        )
+    for forest, inst in zip(forests, instances):
+        if forest.sentence_id and forest.sentence_id != inst.sentence.id:
+            raise ValueError(
+                f"forest {forest.sentence_id!r} aligned with instance {inst.sentence.id!r}"
+            )
+        if forest.n != inst.sentence.n:
+            raise ValueError(
+                f"forest for {inst.sentence.id!r} has {forest.n} tokens, "
+                f"sentence has {inst.sentence.n}"
+            )
 
 
 def validate_instance(instance: RelationInstance, vocab: LabelVocab) -> list[str]:

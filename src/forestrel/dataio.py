@@ -10,11 +10,13 @@ Formats::
               "relation", "ne_tags"?}            (spans are half-open, 1-based)
     arcs:    {"id", "n", "arcs": [[modifier, head, label, prob], ...]}
     forests: {"id", "n", "edges": [[head, label, modifier, prob], ...]}
-    vocab:   {"dep_labels", "relations", "ne_tags"}
+    vocab:   {"dep_labels", "relations", "ne_tags"}   (the LabelVocab fields)
 
 Arc and forest rows are kept in canonical (modifier, head, label-index) order,
 which makes load-then-write byte-identical.  Gold trees use the forest format
-(a tree is just a forest with exactly one head per token).
+(a tree is just a forest with exactly one head per token).  One writer and one
+reader serve the arc, forest and tree files; they differ in the row key
+("arcs" or "edges") and the order of a row's fields.
 
 Readers check JSON types first: positions, ``n`` and span ends must be ints
 (not bool, float or str), labels strings and probabilities numbers; the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence
 
@@ -107,13 +109,8 @@ def _read_lines(path: str | Path) -> list[tuple[int, str]]:
 
 
 def save_vocab(vocab: LabelVocab, path: str | Path) -> None:
-    payload = {
-        "dep_labels": list(vocab.dep_labels),
-        "relations": list(vocab.relations),
-        "ne_tags": list(vocab.ne_tags),
-    }
     with atomic_open(path) as fh:
-        fh.write(_dumps(payload) + "\n")
+        fh.write(_dumps(asdict(vocab)) + "\n")
 
 
 def load_vocab(path: str | Path) -> LabelVocab:
@@ -196,15 +193,17 @@ def load_corpus(
 # Arc probability files
 
 
-def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
+def _write_records(by_id: dict, key: str, rows: Callable, path: str | Path) -> None:
+    """One arc-format (``key`` "arcs") or forest-format ("edges") line per
+    record, in map order; ``rows`` gives a record's rows, which are
+    canonically sorted already."""
     with atomic_open(path) as fh:
-        for sid, probs in probs_by_id.items():
-            obj = {
-                "id": sid,
-                "n": probs.n,
-                "arcs": list(probs.iter_entries()),
-            }
-            fh.write(_dumps(obj) + "\n")
+        for sid, record in by_id.items():
+            fh.write(_dumps({"id": sid, "n": record.n, key: rows(record)}) + "\n")
+
+
+def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
+    _write_records(probs_by_id, "arcs", lambda p: list(p.iter_entries()), path)
 
 
 def _read_arc_records(
@@ -247,20 +246,10 @@ def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabil
 # Forest and tree files
 
 
-def _write_edge_rows(structures_by_id: dict, rows: Callable, path: str | Path) -> None:
-    """One forest-format line per forest or tree, in map order; ``rows``
-    gives a structure's ``[head, label, modifier, prob]`` rows, which are
-    canonically sorted already."""
-    with atomic_open(path) as fh:
-        for sid, structure in structures_by_id.items():
-            obj = {"id": sid, "n": structure.n, "edges": rows(structure)}
-            fh.write(_dumps(obj) + "\n")
-
-
 def write_forests(forests_by_id: dict[str, DependencyForest], path: str | Path) -> None:
     """Write forests in map order, one row per entry."""
-    _write_edge_rows(
-        forests_by_id, lambda f: [[h, label, m, p] for m, h, label, p in f.iter_entries()], path
+    _write_records(
+        forests_by_id, "edges", lambda f: [[h, lb, m, p] for m, h, lb, p in f.iter_entries()], path
     )
 
 
@@ -270,9 +259,7 @@ def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyFor
 
 
 def save_trees(trees_by_id: dict[str, DependencyTree], path: str | Path) -> None:
-    _write_edge_rows(
-        trees_by_id, lambda t: [[e.head, e.label, e.modifier, e.prob] for e in t.edges], path
-    )
+    _write_records(trees_by_id, "edges", lambda t: [list(e) for e in t.edges], path)
 
 
 def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: tuple) -> DependencyTree:

@@ -42,11 +42,11 @@ import base64
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN
+from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN, _check_types
 from .dataio import atomic_open
 
 STRUCTURES = ("textonly", "tree", "forest")
@@ -87,32 +87,20 @@ class ModelConfig:
         return 2 * self.dim_hidden
 
 
-class ModelParams:
+class ModelParams(dict):
     """Named float64 tensors with a fixed iteration order."""
 
-    def __init__(self, tensors: dict[str, np.ndarray]) -> None:
-        self.tensors = {name: np.asarray(t, dtype=np.float64) for name, t in tensors.items()}
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
-
     def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def items(self) -> Iterable[tuple[str, np.ndarray]]:
-        return self.tensors.items()
+        return list(self)
 
     def copy(self) -> "ModelParams":
-        return ModelParams({name: t.copy() for name, t in self.tensors.items()})
+        return ModelParams({name: t.copy() for name, t in self.items()})
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.tensors.items()}
+        return {name: np.zeros_like(t) for name, t in self.items()}
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.tensors.values())
+        return sum(t.size for t in self.values())
 
 
 def _param_specs(
@@ -189,30 +177,26 @@ def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph
     return EncoderGraph(forest.n, edges, forest.prob[words])
 
 
-def _chunk_graph(graphs: Sequence[EncoderGraph]) -> EncoderGraph:
-    """The block-diagonal union of a chunk's graphs over its packed word rows:
-    each graph's words are shifted by the words of the graphs before it."""
-    offsets = np.cumsum([0] + [g.n for g in graphs[:-1]])
-    edges = [g.edges + (offset, offset, 0) for g, offset in zip(graphs, offsets)]
-    return EncoderGraph(
-        sum(g.n for g in graphs),
-        np.concatenate(edges).reshape(-1, 3),
-        np.concatenate([g.probs for g in graphs]),
-    )
-
-
 def _graph_operators(
-    graph: EncoderGraph, weighted: bool, num_labels: int
+    graphs: Sequence[EncoderGraph], weighted: bool, num_labels: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum the arc weights (probabilities, or 1.0 when unweighted) into the
-    ``(n, n)`` head x dependent adjacency and two ``(n, 2 * num_labels)``
+    """The message-passing operators of a chunk's graphs over its ``n`` packed
+    word rows: the block-diagonal union, each graph's words shifted by the
+    words of the graphs before it.
+
+    The arc weights (probabilities, or 1.0 when unweighted) are summed into
+    the ``(n, n)`` head x dependent adjacency and two ``(n, 2 * num_labels)``
     tables: each head's label counts and each dependent's reversed-label
     counts, label ``l`` reversed in column ``num_labels + l`` as in ``label_emb``.
     """
-    n, width = graph.n, 2 * num_labels
-    heads, mods, labels = graph.edges.T
+    sizes = [g.n for g in graphs]
+    n, width = sum(sizes), 2 * num_labels
+    offsets = np.cumsum([0] + sizes[:-1])
+    edges = [g.edges + (offset, offset, 0) for g, offset in zip(graphs, offsets)]
+    heads, mods, labels = np.concatenate(edges).reshape(-1, 3).T
     h, m = heads - 1, mods - 1  # state rows
-    w = graph.probs if weighted else np.ones(len(graph.probs))
+    probs = np.concatenate([g.probs for g in graphs])
+    w = probs if weighted else np.ones(len(probs))
 
     def summed(index: np.ndarray, cols: int) -> np.ndarray:
         return np.bincount(index, weights=w, minlength=n * cols).reshape(n, cols)
@@ -525,7 +509,6 @@ def forward_instance(
     h0, lstm = bilstm_forward(params, emb, lengths)
     h_final, grn_caches, operators = h0, [], None
     if graph is not None:
-        graph = _chunk_graph(graph)
         operators = _graph_operators(graph, config.weighted, params["label_emb"].shape[0] // 2)
         h_final, grn_caches = grn_forward(params, h0, operators, config.steps)
     pooled = (pool @ h_final).reshape(len(lengths), -1)
@@ -625,14 +608,7 @@ class Checkpoint:
 
 def vocab_fingerprint(vocab: LabelVocab, words: tuple[str, ...]) -> str:
     payload = json.dumps(
-        {
-            "dep_labels": list(vocab.dep_labels),
-            "relations": list(vocab.relations),
-            "ne_tags": list(vocab.ne_tags),
-            "words": list(words),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
+        {**asdict(vocab), "words": list(words)}, sort_keys=True, ensure_ascii=False
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -650,11 +626,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         "format": _CHECKPOINT_FORMAT,
         "config": asdict(ckpt.config),
         "structure": ckpt.structure,
-        "vocab": {
-            "dep_labels": list(ckpt.vocab.dep_labels),
-            "relations": list(ckpt.vocab.relations),
-            "ne_tags": list(ckpt.vocab.ne_tags),
-        },
+        "vocab": asdict(ckpt.vocab),
         "words": list(ckpt.words),
         "vocab_sha256": vocab_fingerprint(ckpt.vocab, ckpt.words),
         "tensors": tensors,
@@ -677,20 +649,33 @@ def _require_names(
         raise ValueError(f"checkpoint has unexpected {kind} {', '.join(map(repr, extra))}")
 
 
-# The JSON value types each ModelConfig annotation accepts, matched exactly so
-# that true/false is not an int, and their name in errors.
-_CONFIG_TYPES = {
-    "int": ((int,), "an int"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "a bool"),
-}
+def _require_types(
+    where: str, rows: list, kinds: Sequence[tuple[str, type]], row_name: str = ""
+) -> None:
+    """``core._check_types`` with ``checkpoint <where>`` before its error."""
+    try:
+        _check_types(rows, kinds, row_name)
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {where}{exc}") from None
+
+
+def _require_list(where: str, value: object, name: str, kind: type) -> list:
+    """``value``, if it is a JSON list whose items ``kind`` admits."""
+    if type(value) is not list:
+        raise ValueError(
+            f"checkpoint {where}field {name!r} must be a list, got {type(value).__name__}"
+        )
+    _require_types(where, [[item] for item in value], ((name, kind),), "item")
+    return value
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     """Parse a checkpoint, checking it against the model its config describes.
 
-    Every key the format defines must be present, every config field too with
-    a value of its JSON type, and the tensors must be exactly the ones
+    Every key the format defines must be present and hold its JSON type:
+    every config field with its annotated type, ``words`` and the vocabulary
+    lists as lists of strings, and per tensor ``shape`` as a list of ints and
+    ``dtype`` and ``data`` as strings.  The tensors must be exactly the ones
     ``init_params`` creates, with the same shapes and finite values.
     """
     payload = json.loads(blob.decode("utf-8"))
@@ -699,34 +684,29 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         raise ValueError(
             f"unrecognized checkpoint format {found!r}, expected {_CHECKPOINT_FORMAT!r}"
         )
-    keys = ("config", "structure", "vocab", "words", "tensors")
+    keys = ("config", "structure", "vocab", "words", "vocab_sha256", "tensors")
     _require_names("key", payload, keys, exact=False)
-    lists = ("dep_labels", "relations", "ne_tags")
+    lists = [f.name for f in fields(LabelVocab)]
     _require_names("vocab list", payload["vocab"], lists, exact=False)
-    _require_names("config field", payload["config"], (f.name for f in fields(ModelConfig)))
-    for f in fields(ModelConfig):
-        kinds, noun = _CONFIG_TYPES[f.type]
-        value = payload["config"][f.name]
-        if type(value) not in kinds:
-            raise ValueError(
-                f"checkpoint config field {f.name!r} must be {noun}, got {type(value).__name__}"
-            )
+    config_fields = get_type_hints(ModelConfig)
+    _require_names("config field", payload["config"], config_fields)
+    row = [payload["config"][name] for name in config_fields]
+    _require_types("config ", [row], tuple(config_fields.items()))
     config = ModelConfig(**payload["config"])
     vocab = LabelVocab(
-        tuple(payload["vocab"]["dep_labels"]),
-        tuple(payload["vocab"]["relations"]),
-        tuple(payload["vocab"]["ne_tags"]),
+        *(tuple(_require_list("vocab ", payload["vocab"][name], name, str)) for name in lists)
     )
-    words = tuple(payload["words"])
-    expected = payload.get("vocab_sha256")
-    actual = vocab_fingerprint(vocab, words)
-    if expected is not None and expected != actual:
+    words = tuple(_require_list("", payload["words"], "words", str))
+    if payload["vocab_sha256"] != vocab_fingerprint(vocab, words):
         raise ValueError("checkpoint vocabulary fingerprint mismatch")
     specs = _param_specs(config, vocab, len(words))
     _require_names("tensor", payload["tensors"], specs)
     tensors = {}
     for name, spec in payload["tensors"].items():
         _require_names(f"tensor {name!r} key", spec, ("shape", "dtype", "data"), exact=False)
+        where = f"tensor {name!r} "
+        _require_list(where, spec["shape"], "shape", int)
+        _require_types(where, [[spec["dtype"], spec["data"]]], (("dtype", str), ("data", str)))
         if spec["dtype"] != "float64":
             raise ValueError(f"tensor {name!r} has unsupported dtype {spec['dtype']!r}")
         data = np.frombuffer(base64.b64decode(spec["data"]), dtype=np.float64)

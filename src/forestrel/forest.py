@@ -42,6 +42,7 @@ from .core import (
     DependencyTree,
     LabelVocab,
     RelationInstance,
+    check_alignment,
     is_well_formed_tree,
 )
 
@@ -453,24 +454,16 @@ def forest_stats(
 ) -> ForestStats:
     """Mean density, mean oracle LAS (when gold is given), and connectivity.
 
-    The three collections are aligned by position; identifiers are checked
-    when both sides carry one.
+    The three collections are aligned by position; forests and instances
+    must agree as ``check_alignment`` requires.
     """
-    if len(forests) != len(instances):
-        raise ValueError(
-            f"{len(forests)} forests vs {len(instances)} instances: collections misaligned"
-        )
+    check_alignment(instances, forests)
     if gold is not None and len(gold) != len(forests):
         raise ValueError(
             f"{len(gold)} gold trees vs {len(forests)} forests: collections misaligned"
         )
     if not forests:
         raise ValueError("forest_stats requires at least one instance")
-    for forest, inst in zip(forests, instances):
-        if forest.sentence_id and forest.sentence_id != inst.sentence.id:
-            raise ValueError(
-                f"forest {forest.sentence_id!r} aligned with instance {inst.sentence.id!r}"
-            )
     density = sum(forest_density(f) for f in forests) / len(forests)
     las = None
     if gold is not None:

@@ -27,6 +27,7 @@ from .core import (
     NONE_RELATION,
     RelationInstance,
     UNK_TOKEN,
+    check_alignment,
 )
 from .encoder import (
     Checkpoint,
@@ -89,10 +90,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        return cls(
-            first={name: np.zeros_like(t) for name, t in params.items()},
-            second={name: np.zeros_like(t) for name, t in params.items()},
-        )
+        return cls(first=params.zero_grads(), second=params.zero_grads())
 
 
 def _l2_applies(name: str, tensor: np.ndarray) -> bool:
@@ -191,10 +189,7 @@ def _encode_instances(
     if use_graph:
         if forests is None:
             raise ValueError(f"structure {structure!r} requires forests")
-        if len(forests) != len(instances):
-            raise ValueError(
-                f"{len(forests)} forests vs {len(instances)} instances: collections misaligned"
-            )
+        check_alignment(instances, forests)
     encoded = []
     for idx, inst in enumerate(instances):
         try:
@@ -203,18 +198,8 @@ def _encode_instances(
             raise VocabMismatchError(str(exc)) from exc
         graph = None
         if use_graph:
-            forest = forests[idx]
-            if forest.sentence_id and forest.sentence_id != inst.sentence.id:
-                raise ValueError(
-                    f"forest {forest.sentence_id!r} aligned with instance {inst.sentence.id!r}"
-                )
-            if forest.n != inst.sentence.n:
-                raise ValueError(
-                    f"forest for {inst.sentence.id!r} has {forest.n} tokens, "
-                    f"sentence has {inst.sentence.n}"
-                )
             try:
-                graph = build_gnn_graph(forest, vocab)
+                graph = build_gnn_graph(forests[idx], vocab)
             except KeyError as exc:
                 raise VocabMismatchError(str(exc)) from exc
         tags = None
@@ -529,7 +514,7 @@ def format_metric_log(records: Sequence[EpochRecord]) -> str:
 # Gradient checking
 
 
-def _gradcheck_fixture(seed: int):
+def _gradcheck_fixture():
     """A tiny deterministic instance exercising every model path."""
     from .core import Sentence
 
@@ -539,7 +524,6 @@ def _gradcheck_fixture(seed: int):
         ne_tags=("O", "B-X", "I-X"),
     )
     sentence = Sentence("g0", ("w1", "w2", "w3", "w1", "w4"))
-    rng = np.random.default_rng(seed)
     # (modifier, head, label, prob) entries
     tree_arcs = [(2, 0, "nsubj", 0.9), (1, 2, "amod", 0.8), (4, 2, "obj", 0.7),
                  (3, 4, "amod", 0.6), (5, 4, "obj", 0.5)]
@@ -547,7 +531,7 @@ def _gradcheck_fixture(seed: int):
     tree = DependencyForest("g0", 5, vocab, tree_arcs)
     forest = DependencyForest("g0", 5, vocab, tree_arcs + extra_arcs)
     instance = RelationInstance(sentence, (1, 2), (4, 6), "A", ("O", "B-X", "I-X", "O", "O"))
-    return vocab, instance, tree, forest, rng
+    return vocab, instance, tree, forest
 
 
 def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]:
@@ -558,7 +542,7 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]
     combination.  The relative error denominator is floored at 1e-4 so that
     finite-difference noise on near-zero gradients is judged absolutely.
     """
-    vocab, instance, tree, forest, _ = _gradcheck_fixture(seed)
+    vocab, instance, tree, forest = _gradcheck_fixture()
     return _gradient_check_chunk(vocab, [instance], [tree], [forest], seed, step)
 
 

@@ -15,8 +15,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from forestrel.core import DependencyEdge, DependencyForest
 from forestrel.dataio import SynthSpec, save_arc_probs, synth_generate
+from forestrel.encoder import ModelConfig, init_params
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -118,3 +121,34 @@ def test_arc_entry_counter_counts_the_file_entries(tmp_path):
         tracer.uninstall()
     assert [span[0] for span in tracer.spans] == ["dataio.load_arc_probs"]
     assert tracer.counters["dataio.arc_entries"] == in_file > 0
+
+
+def test_decode_kbest_span_is_named_by_k_and_length(vocab5, arc_grid_factory):
+    spans = _load_bench_module("spans")
+    probs = arc_grid_factory(np.random.default_rng(3), vocab5, 5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        trees = importlib.import_module("forestrel.forest").decode_kbest(probs, 5)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["forest.decode_kbest.k5.n1-9"]
+    assert tracer.counters["forest.trees_returned"] == len(trees) > 0
+    assert tracer.counters["forest.trees_requested"] == 5
+
+
+def test_forward_instance_span_is_named_by_mode(vocab5):
+    spans = _load_bench_module("spans")
+    config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, dropout=0.5)
+    params = init_params(config, vocab5, num_words=4)
+    chunk = ([np.array([1, 2, 3])], [(1, 2)], [(2, 4)], None)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        forward = importlib.import_module("forestrel.encoder").forward_instance
+        forward(params, config, *chunk, train=True, rng=np.random.default_rng(0))
+        forward(params, config, *chunk)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans if span[0].startswith("encoder.forward_instance")]
+    assert names == ["encoder.forward_instance.train", "encoder.forward_instance.eval"]

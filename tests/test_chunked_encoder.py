@@ -84,7 +84,7 @@ def _ref_forward(params, config, token_ids, span1, span2, graph, rng=None):
     h = np.concatenate([lstm["lstm_l"][1], lstm["lstm_r"][1]], axis=1)
     ops, steps = None, []
     if graph is not None:
-        ops = _graph_operators(graph, config.weighted, params["label_emb"].shape[0] // 2)
+        ops = _graph_operators([graph], config.weighted, params["label_emb"].shape[0] // 2)
         c = np.zeros_like(h)
         for _ in range(config.steps):
             m = _ref_messages(h, params["label_emb"], ops)

@@ -7,6 +7,7 @@ import pytest
 from forestrel.cli import main
 from forestrel.core import ArcProbabilities
 from forestrel.dataio import save_arc_probs, synth_vocab, SynthSpec, save_vocab
+from forestrel.encoder import Checkpoint, ModelConfig, checkpoint_to_bytes, init_params
 
 
 @pytest.fixture
@@ -56,6 +57,15 @@ class TestArgumentValidation:
             main(["synth", "--out-dir", "x", "--count", "1", "--frobnicate"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "algo",
+        [["--algo", "kbest", "--k", "0"], ["--algo", "edgewise", "--gamma", "0.1", "--k", "2"]],
+    )
+    def test_bad_k_rejected(self, algo):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forest", "--vocab", "v", "--arcs", "a", "--out", "o", *algo])
+        assert excinfo.value.code == 2
+
     def test_every_run_prints_resolved_config(self, tmp_path, capsys):
         assert main(["synth", "--out-dir", str(tmp_path / "d"), "--count", "2",
                      "--seed", "3"]) == 0
@@ -88,6 +98,17 @@ class TestForestCommand:
         assert main(args) == 1
         assert "uncovered modifiers" in capsys.readouterr().err
         assert main(args + ["--fallback-eps", "0.3"]) == 0
+
+    def test_sentence_without_a_projective_tree_fails(self, tmp_path, capsys):
+        vocab = synth_vocab(SynthSpec(n_sentences=1))
+        save_vocab(vocab, tmp_path / "vocab.json")
+        cycle = ArcProbabilities("s0", 2, vocab, [(1, 2, "dep0", 0.5), (2, 1, "dep0", 0.5)])
+        save_arc_probs({"s0": cycle}, tmp_path / "arcs.jsonl")
+        code = main(["forest", "--vocab", str(tmp_path / "vocab.json"),
+                     "--arcs", str(tmp_path / "arcs.jsonl"),
+                     "--out", str(tmp_path / "f.jsonl"), "--algo", "kbest", "--k", "2"])
+        assert code == 1
+        assert "sentence 's0': no projective tree" in capsys.readouterr().err
 
     def test_bad_vocab_path_is_reported(self, tmp_path, capsys):
         code = main(["forest", "--vocab", str(tmp_path / "nope.json"),
@@ -129,6 +150,21 @@ class TestStatsCommand:
                      "--forests", str(forests)])
         assert code == 1
         assert "no forest record" in capsys.readouterr().err
+
+
+    def test_forest_of_the_wrong_length(self, synth_dir, capsys):
+        forests = _make_forests(synth_dir, extra=("--algo", "edgewise", "--gamma", "0.1"))
+        lines = forests.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        n = first["n"]
+        first["n"] = n + 3
+        forests.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n", encoding="utf-8")
+        code = main(["stats", "--vocab", str(synth_dir / "vocab.json"),
+                     "--corpus", str(synth_dir / "corpus.jsonl"),
+                     "--forests", str(forests)])
+        assert code == 1
+        message = f"error: forest for {first['id']!r} has {n + 3} tokens, sentence has {n}"
+        assert message in capsys.readouterr().err
 
 
 class TestTrainEvalPredict:
@@ -232,6 +268,24 @@ class TestTrainEvalPredict:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--corpus", str(synth_dir / "corpus.jsonl"), "--forests", str(forests)]) == 0
         assert "skipped 0 records" in capsys.readouterr().out.splitlines()
+
+
+    def test_mistyped_checkpoint_is_an_error_line(self, synth_dir, tmp_path, capsys):
+        config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2)
+        vocab = synth_vocab(SynthSpec(n_sentences=1))
+        words = ("<unk>", "w0")
+        params = init_params(config, vocab, len(words))
+        ckpt_bytes = checkpoint_to_bytes(Checkpoint(config, "textonly", vocab, words, params))
+        payload = json.loads(ckpt_bytes)
+        payload["tensors"]["cls.W"]["shape"] = 5
+        ckpt = tmp_path / "model.json"
+        ckpt.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(synth_dir / "corpus.jsonl")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {ckpt}: checkpoint tensor 'cls.W' field 'shape' must be a list" in err
+        assert "Traceback" not in err
 
 
 class TestGradcheckCommand:

@@ -36,6 +36,20 @@ class TestLabelVocab:
         with pytest.raises(ValueError, match="invalid BIO tag"):
             LabelVocab(dep_labels=("amod",), relations=("None",), ne_tags=("O", "CHEM"))
 
+    @pytest.mark.parametrize(
+        "inventories, message",
+        [
+            ({"dep_labels": ()}, "dep_labels must be non-empty"),
+            ({"dep_labels": ("amod", "amod")}, "duplicate dependency labels"),
+            ({"relations": ("R-A", "R-A", "None")}, "duplicate relations"),
+            ({"ne_tags": ("O", "B-X", "O")}, "duplicate NE tags"),
+        ],
+    )
+    def test_empty_or_duplicate_inventory_rejected(self, inventories, message):
+        kwargs = {"dep_labels": ("amod",), "relations": ("R-A", "None"), **inventories}
+        with pytest.raises(ValueError, match=message):
+            LabelVocab(**kwargs)
+
     def test_unknown_lookups_raise(self, vocab5):
         with pytest.raises(LabelLookupError):
             vocab5.dep_index("punct")
@@ -43,6 +57,17 @@ class TestLabelVocab:
             vocab5.relation_index("R-C")
         with pytest.raises(LabelLookupError):
             vocab5.tag_index("B-DISEASE")
+
+
+def test_sentence_needs_tokens():
+    with pytest.raises(ValueError, match="sentence 's0' has no tokens"):
+        Sentence("s0", ())
+
+
+@pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest])
+def test_arc_set_needs_a_positive_length(cls, vocab5):
+    with pytest.raises(ValueError, match="sentence length must be >= 1, got 0"):
+        cls("s0", 0, vocab5, [])
 
 
 class TestArcProbabilities:

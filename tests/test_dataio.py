@@ -394,6 +394,11 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, prob_floor=1.0)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0)])
+    def test_relation_grid_at_least_1x1(self, rows, cols):
+        with pytest.raises(ValueError, match="at least 1x1"):
+            SynthSpec(n_sentences=1, relation_rows=rows, relation_cols=cols)
+
 
 class TestSynthGenerator:
     def test_same_seed_is_byte_identical(self, tmp_path):

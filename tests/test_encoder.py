@@ -90,6 +90,20 @@ class TestInitParams:
         assert params["ner.W"].shape == (len(vocab5.ne_tags), 4)
         assert params["ner.b"].shape == (len(vocab5.ne_tags),)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"dim_word": 0}, "dimensions must be >= 1"),
+            ({"dim_hidden": -1}, "dimensions must be >= 1"),
+            ({"steps": -1}, "steps must be >= 0"),
+            ({"dropout": 1.0}, r"dropout must be in \[0, 1\)"),
+            ({"dropout": -0.1}, r"dropout must be in \[0, 1\)"),
+        ],
+    )
+    def test_config_ranges_checked(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(**changes)
+
     def test_same_seed_same_params(self, vocab5):
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, seed=42)
         a = init_params(config, vocab5, num_words=5)
@@ -245,7 +259,7 @@ class TestGraph:
         assert ((0 <= labels) & (labels < num)).all()
         assert labels.tolist() == [vocab5.dep_index(e.label) for e in forest.edges if e.head != 0]
         # forward labels count in the first num columns, reversed ones num later
-        _, dep_labels, head_labels = _graph_operators(graph, False, num)
+        _, dep_labels, head_labels = _graph_operators([graph], False, num)
         for (head, modifier, label) in graph.edges:
             assert dep_labels[head - 1, label] >= 1.0
             assert head_labels[modifier - 1, num + label] >= 1.0
@@ -273,7 +287,7 @@ def _doubled_pairs(forest):
 
 
 def _messages(h, label_emb, graph, weighted):
-    ops = _graph_operators(graph, weighted, label_emb.shape[0] // 2)
+    ops = _graph_operators([graph], weighted, label_emb.shape[0] // 2)
     return compute_messages(h, label_emb, ops)
 
 
@@ -395,7 +409,7 @@ class TestGrn:
     def test_zero_steps_is_identity(self, vocab5, tiny_setup):
         _, params, _, graph, _ = tiny_setup
         h0 = np.random.default_rng(2).normal(size=(4, 4))
-        ops = _graph_operators(graph, False, vocab5.num_dep_labels)
+        ops = _graph_operators([graph], False, vocab5.num_dep_labels)
         h_final, caches = grn_forward(params, h0, ops, steps=0)
         assert h_final is h0
         assert caches == []
@@ -419,8 +433,8 @@ class TestGrn:
         emb = params["word_emb"][token_ids]
         h0, _ = bilstm_forward(params, emb, [4])
         num = vocab5.num_dep_labels
-        ops_with = _graph_operators(build_gnn_graph(connected, vocab5), False, num)
-        ops_without = _graph_operators(build_gnn_graph(empty, vocab5), False, num)
+        ops_with = _graph_operators([build_gnn_graph(connected, vocab5)], False, num)
+        ops_without = _graph_operators([build_gnn_graph(empty, vocab5)], False, num)
         h_with, _ = grn_forward(params, h0, ops_with, 2)
         h_without, _ = grn_forward(params, h0, ops_without, 2)
         assert np.array_equal(h_with[3], h_without[3])
@@ -495,6 +509,13 @@ class TestForwardBackward:
         backward(params, config, trace, buffer, np.zeros((1, 3)))
         for name in params.names():
             assert buffer[name].tobytes() == before[name], name
+
+    def test_ner_seed_needs_an_ner_head(self, vocab5, tiny_setup):
+        config, params, _, graph, token_ids = tiny_setup
+        trace = forward_instance(params, config, [token_ids], [(1, 2)], [(3, 5)], [graph])
+        d_ner = np.zeros((len(token_ids), len(vocab5.ne_tags)))
+        with pytest.raises(ValueError, match="no NER head"):
+            backward(params, config, trace, params.zero_grads(), np.zeros((1, 3)), d_ner)
 
     @pytest.mark.parametrize("structure", ["textonly", "forest", "doubled-weighted"])
     def test_finite_difference_spot_check(self, vocab5, tiny_setup, structure):
@@ -669,6 +690,44 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint config field"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p["tensors"]["cls.W"].update(shape=5),
+             "tensor 'cls.W' field 'shape' must be a list, got int"),
+            (lambda p: p["tensors"]["cls.W"].update(shape=[3, "8"]),
+             "tensor 'cls.W' item 2 field 'shape' must be an int, got str"),
+            (lambda p: p["tensors"]["cls.W"].update(dtype=5),
+             "tensor 'cls.W' field 'dtype' must be a string, got int"),
+            (lambda p: p["tensors"]["cls.W"].update(data=5),
+             "tensor 'cls.W' field 'data' must be a string, got int"),
+            (lambda p: p["vocab"].update(dep_labels=[1, 2]),
+             "vocab item 1 field 'dep_labels' must be a string, got int"),
+            (lambda p: p["vocab"].update(ne_tags="O"),
+             "vocab field 'ne_tags' must be a list, got str"),
+            (lambda p: p.update(words=5), "field 'words' must be a list, got int"),
+            (lambda p: p["words"].append(7), "item 4 field 'words' must be a string, got int"),
+        ],
+    )
+    def test_mistyped_field_named(self, vocab5, tmp_path, edit, message):
+        blob = self._tampered(vocab5, edit)
+        with pytest.raises(ValueError, match=f"^checkpoint {re.escape(message)}$"):
+            checkpoint_from_bytes(blob)
+        path = tmp_path / "model.json"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: checkpoint "):
+            load_checkpoint(str(path))
+
+    def test_missing_fingerprint_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p.pop("vocab_sha256"))
+        with pytest.raises(ValueError, match="lacks key 'vocab_sha256'"):
+            checkpoint_from_bytes(blob)
+
+    def test_unsupported_dtype_rejected(self, vocab5):
+        blob = self._tampered(vocab5, lambda p: p["tensors"]["cls.b"].update(dtype="float32"))
+        with pytest.raises(ValueError, match="tensor 'cls.b' has unsupported dtype 'float32'"):
+            checkpoint_from_bytes(blob)
 
     def test_load_names_the_file(self, vocab5, tmp_path):
         path = tmp_path / "model.json"

@@ -245,6 +245,10 @@ class TestBruteForce:
         trees = brute_force_kbest(probs, 10)
         assert [t.parents() for t in trees] == [[0, 1], [2, 0], [0, 0]]
 
+    def test_uncovered_modifier_gives_no_trees(self, vocab5):
+        probs = ArcProbabilities("s", 3, vocab5, [(1, 0, "amod", 0.5), (3, 1, "obj", 0.5)])
+        assert brute_force_kbest(probs, 2) == []
+
     def test_size_guard(self, vocab5):
         entries = [(m, m - 1, "amod", 0.5) for m in range(1, 10)]
         probs = ArcProbabilities("s", 9, vocab5, entries)
@@ -591,6 +595,25 @@ class TestStats:
         assert stats.oracle_las == pytest.approx((1.0 + 1 / 3) / 2)
         assert stats.connected == (True, False)
         assert stats.connectivity_ratio == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("gold count", "2 gold trees vs 1 forests: collections misaligned"),
+            ("length", "forest for 's0' has 4 tokens, sentence has 3"),
+        ],
+    )
+    def test_gold_count_and_forest_length_checked(self, vocab5, case, message):
+        inst = RelationInstance(Sentence("s0", ("a", "b", "c")), (1, 2), (3, 4), "R-A")
+        n = 4 if case == "length" else 3
+        forest = self._forest(vocab5, n, [(0, "nsubj", 1, 0.9)])
+        tree = DependencyTree.from_edges(
+            [DependencyEdge(0, "nsubj", 1, 0.9), DependencyEdge(1, "obj", 2, 0.8),
+             DependencyEdge(2, "amod", 3, 0.7)]
+        )
+        gold = [tree, tree] if case == "gold count" else None
+        with pytest.raises(ValueError, match=message):
+            forest_stats([forest], [inst], gold)
 
     def test_misalignment_detected(self, vocab5):
         sentence = Sentence("s0", ("a", "b", "c"))

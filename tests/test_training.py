@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from forestrel import training
-from forestrel.core import RelationInstance, Sentence
+from forestrel.core import DependencyForest, LabelVocab, RelationInstance, Sentence
 from forestrel.dataio import SynthSpec, synth_generate
 from forestrel.encoder import (
     ModelConfig,
@@ -385,6 +385,55 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="aligned with instance"):
             train(list(data.instances), rotated, list(data.instances), forests,
                   data.vocab, mc, tc, "forest")
+
+    @staticmethod
+    def _longer(forest):
+        entries = forest.iter_entries()
+        return DependencyForest(forest.sentence_id, forest.n + 3, forest.vocab, entries)
+
+    @staticmethod
+    def _foreign_label(forest):
+        wider = LabelVocab(forest.vocab.dep_labels + ("extra",), forest.vocab.relations,
+                           forest.vocab.ne_tags)
+        entries = list(forest.iter_entries())
+        word_arc = next(i for i, (_, h, _, _) in enumerate(entries) if h != 0)
+        m, h, _, p = entries[word_arc]
+        entries[word_arc] = (m, h, "extra", p)
+        return DependencyForest(forest.sentence_id, forest.n, wider, entries)
+
+    @staticmethod
+    def _foreign_tag(inst):
+        tags = ("B-XYZ",) + inst.ne_tags[1:]
+        return RelationInstance(inst.sentence, inst.mention1, inst.mention2, inst.relation, tags)
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("forest count", ValueError, "3 forests vs 4 instances: collections misaligned"),
+            ("forest length", ValueError, r"forest for 's00000' has \d+ tokens, sentence has \d+"),
+            ("forest label", VocabMismatchError, "unknown dependency label 'extra'"),
+            ("NE tag", VocabMismatchError, "unknown NE tag 'B-XYZ'"),
+            ("no instances", ValueError, "no training instances"),
+        ],
+    )
+    def test_bad_training_input_rejected(self, case, error, message):
+        data, forests = _tiny_dataset(4, seed=5)
+        instances = list(data.instances)
+        train_instances, train_forests = instances, list(forests)
+        if case == "forest count":
+            train_forests = train_forests[:3]
+        elif case == "forest length":
+            train_forests[0] = self._longer(train_forests[0])
+        elif case == "forest label":
+            train_forests[0] = self._foreign_label(train_forests[0])
+        elif case == "NE tag":
+            train_instances = [self._foreign_tag(instances[0])] + instances[1:]
+        else:
+            train_instances, train_forests = [], []
+        mc = ModelConfig(dim_word=4, dim_label=4, dim_hidden=4, ner_head=True)
+        with pytest.raises(error, match=message):
+            train(train_instances, train_forests, instances, forests,
+                  data.vocab, mc, TrainConfig(epochs=1), "forest")
 
     def test_unknown_relation_is_vocab_mismatch(self):
         data, _ = _tiny_dataset(3, seed=6)
