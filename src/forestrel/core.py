@@ -161,6 +161,15 @@ def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str =
     return columns
 
 
+def _check_list(value: object, field: str, kind: type) -> list:
+    """``value``, if it is a JSON list whose items ``kind`` admits
+    (``item 2 field 'dep_labels' must be a string, got int``)."""
+    if type(value) is not list:
+        raise ValueError(f"field {field!r} must be a list, got {type(value).__name__}")
+    _check_types([[item] for item in value], ((field, kind),), "item")
+    return value
+
+
 class _ArcSet:
     """The labeled arcs of one sentence as four read-only arrays.
 

@@ -50,6 +50,7 @@ from .core import (
     NONE_RELATION,
     RelationInstance,
     Sentence,
+    _check_list,
     _check_types,
     ancestors_of,
     check_tree,
@@ -114,12 +115,14 @@ def save_vocab(vocab: LabelVocab, path: str | Path) -> None:
 
 
 def load_vocab(path: str | Path) -> LabelVocab:
+    """Read a vocabulary file: ``dep_labels``, ``relations`` and, optionally,
+    ``ne_tags`` (default ``["O"]``), each a list of strings."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         return LabelVocab(
-            tuple(payload["dep_labels"]),
-            tuple(payload["relations"]),
-            tuple(payload.get("ne_tags", ["O"])),
+            tuple(_check_list(payload["dep_labels"], "dep_labels", str)),
+            tuple(_check_list(payload["relations"], "relations", str)),
+            tuple(_check_list(payload.get("ne_tags", ["O"]), "ne_tags", str)),
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: invalid vocabulary file: {exc}") from exc

@@ -29,24 +29,28 @@ The sequence LSTMs and the graph update share one gated cell (``_cell`` and
 gates in ``_CELL_ORDER`` plus a bias of the same height.  The graph update's
 ``grn.W`` reads a word's message row ``[dependent message | head message]``.
 
-Everything is float64 numpy.  ``backward`` consumes the trace recorded by
+Everything is float64 numpy.  The parameter tensors are named views of one
+vector (``ModelParams``), laid out so the BiLSTM reads both directions'
+recurrent matrices as one array.  ``backward`` consumes the trace recorded by
 ``forward_instance`` and adds exact reverse-mode gradients for every parameter
-tensor into a caller's buffer.  Every sum is a fixed sequence of numpy
-products, so equal inputs reproduce bitwise-equal outputs; a different
-chunking of the same instances reassociates the sums.
+tensor into a caller's buffer of the same layout.  Every sum is a fixed
+sequence of numpy products, so equal inputs reproduce bitwise-equal outputs;
+a different chunking of the same instances reassociates the sums.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN, _check_types
+from .core import DependencyForest, LabelVocab, Sentence, UNK_TOKEN, _check_list, _check_types
 from .dataio import atomic_open
 
 STRUCTURES = ("textonly", "tree", "forest")
@@ -87,20 +91,69 @@ class ModelConfig:
         return 2 * self.dim_hidden
 
 
+def _l2_applies(name: str, shape: tuple[int, ...]) -> bool:
+    # Weight matrices only: 2-D tensors that are not embedding tables.
+    return len(shape) == 2 and not name.endswith("_emb")
+
+
 class ModelParams(dict):
-    """Named float64 tensors with a fixed iteration order."""
+    """Named float64 tensors with a fixed iteration order, each a view of its
+    slice of one contiguous vector ``flat``.
+
+    ``flat`` orders the tensors by whether L2 applies, then by the name after
+    the module prefix, then by name: the L2 tensors fill the slice ``l2``, and
+    the two LSTM directions' matching tensors sit side by side (``stacked``).
+    The layout depends only on the names and shapes, so ``zero_grads``,
+    ``copy`` and a loaded checkpoint share it element for element.  Write
+    into a tensor; assigning a new one would detach it from ``flat``.
+    """
+
+    def __init__(self, tensors: Mapping[str, np.ndarray]) -> None:
+        """Copy ``tensors`` into one new vector."""
+        self._lay_out({name: np.shape(t) for name, t in tensors.items()})
+        for name, tensor in tensors.items():
+            self[name][...] = tensor
+
+    @classmethod
+    def zeros(cls, shapes: Mapping[str, tuple[int, ...]]) -> "ModelParams":
+        # np.zeros leaves the pages untouched until a tensor is written, so a
+        # loader that writes tensor by tensor grows as it goes.
+        params = cls.__new__(cls)
+        params._lay_out(shapes)
+        return params
+
+    def _lay_out(self, shapes: Mapping[str, tuple[int, ...]]) -> None:
+        order = sorted(
+            shapes, key=lambda n: (_l2_applies(n, shapes[n]), n.rpartition(".")[2], n)
+        )
+        ends = np.cumsum([0] + [math.prod(shapes[name]) for name in order]).tolist()
+        self._spans = dict(zip(order, zip(ends, ends[1:])))
+        self.flat = np.zeros(ends[-1])
+        l2 = [self._spans[name][0] for name in order if _l2_applies(name, shapes[name])]
+        self.l2 = slice(min(l2, default=ends[-1]), ends[-1])
+        for name, shape in shapes.items():
+            lo, hi = self._spans[name]
+            self[name] = self.flat[lo:hi].reshape(shape)
 
     def names(self) -> list[str]:
         return list(self)
 
     def copy(self) -> "ModelParams":
-        return ModelParams({name: t.copy() for name, t in self.items()})
+        return ModelParams(self)
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.items()}
+    def zero_grads(self) -> "ModelParams":
+        return ModelParams.zeros({name: t.shape for name, t in self.items()})
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.values())
+        return self.flat.size
+
+    def stacked(self, *names: str) -> np.ndarray:
+        """The equal-shaped tensors ``names``, adjacent in ``flat`` in this
+        order, as one view with a new leading axis."""
+        spans = [self._spans[name] for name in names]
+        if any(a[1] != b[0] for a, b in zip(spans, spans[1:])):
+            raise ValueError(f"tensors {names} are not adjacent in flat")
+        return self.flat[spans[0][0] : spans[-1][1]].reshape(len(names), *self[names[0]].shape)
 
 
 def _param_specs(
@@ -140,16 +193,15 @@ def init_params(
     small uniform.
     """
     rng = np.random.default_rng(config.seed)
-    tensors: dict[str, np.ndarray] = {}
-    for name, (shape, kind) in _param_specs(config, vocab, num_words).items():
+    specs = _param_specs(config, vocab, num_words)
+    params = ModelParams.zeros({name: shape for name, (shape, _) in specs.items()})
+    for name, (shape, kind) in specs.items():
         if kind == "emb":
-            tensors[name] = rng.uniform(-0.1, 0.1, size=shape)
+            params[name][...] = rng.uniform(-0.1, 0.1, size=shape)
         elif kind == "glorot":
             bound = np.sqrt(6.0 / (shape[0] + shape[1]))
-            tensors[name] = rng.uniform(-bound, bound, size=shape)
-        else:
-            tensors[name] = np.zeros(shape)
-    return ModelParams(tensors)
+            params[name][...] = rng.uniform(-bound, bound, size=shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -209,12 +261,12 @@ def _graph_operators(
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Each side of the where is the stable formula for its sign of x, so exp
-    # only sees values <= 0 and never overflows.  Taking -x or x by the same
-    # mask (not -|x|) keeps NaN inputs bit-for-bit too.
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+    # The stable formula for each sign of x, 1 / (1 + e^-x) or e^x / (1 + e^x),
+    # so exp never overflows.  Bitwise the two-branch formula: exp(+-0) = 1,
+    # e is never -0, and for a NaN x, minimum returns its first operand (x,
+    # not -x) and maximum the NaN e.  np.where on large arrays is far slower.
+    e = np.exp(np.minimum(x, -x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -311,14 +363,14 @@ def bilstm_forward(
     b, t_max, dr = len(lengths), int(lengths.max()), params["lstm_l.Wh"].shape[1]
     sentence = np.repeat(np.arange(b), lengths)
     pos = np.arange(len(sentence)) - (np.cumsum(lengths) - lengths)[sentence]
-    rows = np.stack(
+    rows = np.array(
         [sentence * t_max + lengths[sentence] - 1 - pos, (b + sentence) * t_max + pos]
     )
     zx = np.zeros((2 * b * t_max, 4 * dr))
     for d, name in enumerate(_DIRECTIONS):
         zx[rows[d]] = emb @ params[f"{name}.Wx"].T + params[f"{name}.b"]
     zx = zx.reshape(2, b, t_max, 4 * dr)
-    wh = np.stack([params[f"{name}.Wh"] for name in _DIRECTIONS])
+    wh = params.stacked(*(f"{name}.Wh" for name in _DIRECTIONS))
     hidden = np.empty((2, b, t_max, dr))
     cells: list[_CellCache] = []
     h = c = np.zeros((2, b, dr))
@@ -350,7 +402,7 @@ def _bilstm_backward(
     d_hidden[cache.rows[0]] = d_states[:, :dr]
     d_hidden[cache.rows[1]] = d_states[:, dr:]
     d_hidden = d_hidden.reshape(2, b, t_max, dr)
-    wh = np.stack([params[f"{name}.Wh"] for name in _DIRECTIONS])
+    wh = params.stacked(*(f"{name}.Wh" for name in _DIRECTIONS))
     dzs = np.empty((2, b, t_max, 4 * dr))
     dh_carry = dc = np.zeros((2, b, dr))
     for t in range(t_max - 1, -1, -1):
@@ -620,7 +672,7 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
         tensors[name] = {
             "shape": list(tensor.shape),
             "dtype": "float64",
-            "data": base64.b64encode(np.ascontiguousarray(tensor, dtype=np.float64).tobytes()).decode("ascii"),
+            "data": base64.b64encode(tensor.tobytes()).decode("ascii"),
         }
     payload = {
         "format": _CHECKPOINT_FORMAT,
@@ -649,24 +701,13 @@ def _require_names(
         raise ValueError(f"checkpoint has unexpected {kind} {', '.join(map(repr, extra))}")
 
 
-def _require_types(
-    where: str, rows: list, kinds: Sequence[tuple[str, type]], row_name: str = ""
-) -> None:
-    """``core._check_types`` with ``checkpoint <where>`` before its error."""
+def _require(where: str, check: Callable, *args: object) -> object:
+    """``check(*args)`` (``core._check_types`` or ``core._check_list``) with
+    ``checkpoint <where>`` before its error."""
     try:
-        _check_types(rows, kinds, row_name)
+        return check(*args)
     except ValueError as exc:
         raise ValueError(f"checkpoint {where}{exc}") from None
-
-
-def _require_list(where: str, value: object, name: str, kind: type) -> list:
-    """``value``, if it is a JSON list whose items ``kind`` admits."""
-    if type(value) is not list:
-        raise ValueError(
-            f"checkpoint {where}field {name!r} must be a list, got {type(value).__name__}"
-        )
-    _require_types(where, [[item] for item in value], ((name, kind),), "item")
-    return value
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
@@ -675,8 +716,11 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     Every key the format defines must be present and hold its JSON type:
     every config field with its annotated type, ``words`` and the vocabulary
     lists as lists of strings, and per tensor ``shape`` as a list of ints and
-    ``dtype`` and ``data`` as strings.  The tensors must be exactly the ones
-    ``init_params`` creates, with the same shapes and finite values.
+    ``dtype`` and ``data`` as strings, ``data`` the base64 of float64 values.
+    The tensors must be exactly the ones ``init_params`` creates, with the
+    same shapes and finite values.  Each is decoded straight into its slice
+    of the parameter vector and its base64 string dropped, so the strings,
+    the decoded tensors and the vector do not all peak together.
     """
     payload = json.loads(blob.decode("utf-8"))
     found = payload.get("format") if isinstance(payload, dict) else None
@@ -691,25 +735,32 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     config_fields = get_type_hints(ModelConfig)
     _require_names("config field", payload["config"], config_fields)
     row = [payload["config"][name] for name in config_fields]
-    _require_types("config ", [row], tuple(config_fields.items()))
+    _require("config ", _check_types, [row], tuple(config_fields.items()))
     config = ModelConfig(**payload["config"])
     vocab = LabelVocab(
-        *(tuple(_require_list("vocab ", payload["vocab"][name], name, str)) for name in lists)
+        *(tuple(_require("vocab ", _check_list, payload["vocab"][name], name, str))
+          for name in lists)
     )
-    words = tuple(_require_list("", payload["words"], "words", str))
+    words = tuple(_require("", _check_list, payload["words"], "words", str))
     if payload["vocab_sha256"] != vocab_fingerprint(vocab, words):
         raise ValueError("checkpoint vocabulary fingerprint mismatch")
     specs = _param_specs(config, vocab, len(words))
     _require_names("tensor", payload["tensors"], specs)
-    tensors = {}
+    params = ModelParams.zeros({name: specs[name][0] for name in payload["tensors"]})
     for name, spec in payload["tensors"].items():
         _require_names(f"tensor {name!r} key", spec, ("shape", "dtype", "data"), exact=False)
         where = f"tensor {name!r} "
-        _require_list(where, spec["shape"], "shape", int)
-        _require_types(where, [[spec["dtype"], spec["data"]]], (("dtype", str), ("data", str)))
+        _require(where, _check_list, spec["shape"], "shape", int)
+        _require(where, _check_types, [[spec["dtype"], spec["data"]]],
+                 (("dtype", str), ("data", str)))
         if spec["dtype"] != "float64":
             raise ValueError(f"tensor {name!r} has unsupported dtype {spec['dtype']!r}")
-        data = np.frombuffer(base64.b64decode(spec["data"]), dtype=np.float64)
+        try:
+            data = np.frombuffer(binascii.a2b_base64(spec.pop("data")), dtype=np.float64)
+        except ValueError as exc:  # not base64, or not a whole number of float64s
+            raise ValueError(
+                f"tensor {name!r} field 'data' is not base64 of float64 values: {exc}"
+            ) from None
         shape = specs[name][0]
         if tuple(spec["shape"]) != shape or data.size != int(np.prod(shape)):
             raise ValueError(
@@ -718,8 +769,8 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
             )
         if not np.isfinite(data).all():
             raise ValueError(f"tensor {name!r} has non-finite values")
-        tensors[name] = data.reshape(shape).copy()
-    return Checkpoint(config, payload["structure"], vocab, words, ModelParams(tensors))
+        params[name][...] = data.reshape(shape)
+    return Checkpoint(config, payload["structure"], vocab, words, params)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:

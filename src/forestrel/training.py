@@ -5,7 +5,8 @@ negative log-likelihood of its gold relation plus, when the NER flag is on, the
 mean over its words of the gold tags' negative log-likelihoods; a chunk costs
 the sum over its instances, and a batch the mean.  L2 regularization enters
 Adam as ``2 * l2 * theta`` added to the incoming gradient of weight matrices
-only (never biases or embedding tables).
+only (never biases or embedding tables), which fill one slice of the
+parameter vector.  Adam makes one pass over the vector in cache-sized blocks.
 
 All randomness (parameter init, epoch shuffling, dropout) derives from the
 single seed in ModelConfig, so identical configurations reproduce identical
@@ -15,7 +16,7 @@ models and metric curves bitwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -78,50 +79,58 @@ class TrainConfig:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements of the parameter vector per pass of ``adam_step``: its two scratch
+# blocks and the four vectors' blocks stay in cache between its operations.
+ADAM_BLOCK = 16384
 
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moment estimates plus the shared step counter."""
+    """Adam first/second moment estimates, two scratch blocks, the step counter."""
 
-    first: dict[str, np.ndarray]
-    second: dict[str, np.ndarray]
+    first: ModelParams
+    second: ModelParams
+    scratch: np.ndarray = field(repr=False)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        return cls(first=params.zero_grads(), second=params.zero_grads())
-
-
-def _l2_applies(name: str, tensor: np.ndarray) -> bool:
-    # Weight matrices only: 2-D tensors that are not embedding tables.
-    return tensor.ndim == 2 and not name.endswith("_emb")
+        scratch = np.empty((2, min(ADAM_BLOCK, params.flat.size)))
+        return cls(first=params.zero_grads(), second=params.zero_grads(), scratch=scratch)
 
 
 def adam_step(
     params: ModelParams,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams,
     state: OptimizerState,
     config: TrainConfig,
 ) -> None:
     """Apply one Adam update in place (bias-corrected moments).
 
-    The update is ``theta -= lr * m_hat / (sqrt(v_hat) + eps)``, evaluated in
-    that order into two scratch arrays per tensor, so it needs no other
-    full-size temporaries.
+    ``grads`` and the moments share the layout of ``params``.  After one
+    finiteness check over the whole gradient, the update runs over blocks of
+    ``ADAM_BLOCK`` elements of the flat vectors: ``g`` (plus ``2 * l2 *
+    theta`` inside the L2 slice), then ``m``, ``v`` and ``theta -= lr * m_hat
+    / (sqrt(v_hat) + eps)``, evaluated in that order into the two scratch
+    blocks, so it needs no full-size temporaries.  Each element sees the
+    same operations in the same order as a per-tensor update would.
     """
+    if not np.isfinite(grads.flat).all():
+        name = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise OptimizationError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
-    for name, theta in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise OptimizationError(f"non-finite gradient for parameter {name!r}")
-        a = np.empty_like(theta)
-        b = np.empty_like(theta)
-        if config.l2 > 0.0 and _l2_applies(name, theta):
-            g = np.add(g, np.multiply(theta, 2.0 * config.l2, out=a), out=a)
-        m = state.first[name]
-        v = state.second[name]
+    l2 = params.l2 if config.l2 > 0.0 else slice(0, 0)
+    for lo in range(0, params.flat.size, ADAM_BLOCK):
+        hi = min(lo + ADAM_BLOCK, params.flat.size)
+        theta, g = params.flat[lo:hi], grads.flat[lo:hi]
+        m, v = state.first.flat[lo:hi], state.second.flat[lo:hi]
+        a, b = state.scratch[:, : hi - lo]
+        i, j = max(l2.start - lo, 0), min(l2.stop, hi) - lo  # the block's L2 part
+        if i < j:
+            a[:i], a[j:] = g[:i], g[j:]
+            np.add(g[i:j], np.multiply(theta[i:j], 2.0 * config.l2, out=a[i:j]), out=a[i:j])
+            g = a
         m *= ADAM_BETA1
         m += np.multiply(g, 1.0 - ADAM_BETA1, out=b)
         v *= ADAM_BETA2
@@ -299,7 +308,7 @@ def _chunk_loss(
     config: ModelConfig,
     chunk: Sequence[_Encoded],
     use_ner: bool,
-    grads: dict[str, np.ndarray],
+    grads: ModelParams,
     train: bool,
     rng: np.random.Generator | None,
 ) -> float:
@@ -370,8 +379,7 @@ def train(
         loss_sum = 0.0
         for lo in range(0, len(order), train_config.batch_size):
             batch = [train_enc[idx] for idx in order[lo : lo + train_config.batch_size]]
-            for g in acc.values():
-                g.fill(0.0)
+            acc.flat.fill(0.0)
             for chunk in _chunks(batch):
                 loss_sum += _chunk_loss(
                     params,
@@ -382,9 +390,7 @@ def train(
                     train=True,
                     rng=dropout_rng,
                 )
-            scale = 1.0 / len(batch)
-            for name in acc:
-                acc[name] *= scale
+            acc.flat *= 1.0 / len(batch)
             adam_step(params, acc, state, train_config)
         train_loss = loss_sum / len(train_enc)
         dev_pred = [ridx for ridx, _ in _argmax_relations(params, model_config, dev_enc)]
@@ -575,19 +581,16 @@ def _gradient_check_chunk(
         grads = params.zero_grads()
         _chunk_loss(params, config, chunk, use_ner, grads, train=False, rng=None)
         worst = 0.0
-        for name, tensor in params.items():
-            flat = tensor.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = loss_value()
-                flat[i] = orig - step
-                down = loss_value()
-                flat[i] = orig
-                numeric = (up - down) / (2.0 * step)
-                analytic = grads[name].reshape(-1)[i]
-                err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
-                worst = max(worst, err)
+        for i, orig in enumerate(params.flat.tolist()):
+            params.flat[i] = orig + step
+            up = loss_value()
+            params.flat[i] = orig - step
+            down = loss_value()
+            params.flat[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            analytic = grads.flat[i]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
+            worst = max(worst, err)
         label = f"structure={structure} weighted={int(weighted)} ner={int(use_ner)}"
         results.append((label, worst))
     return results

@@ -157,6 +157,7 @@ def test_c04_density_las_connectivity_trends():
     )
 
 
+@pytest.mark.slow
 def test_c05_analytic_gradients_match_finite_differences():
     start = time.perf_counter()
     results = gradient_check(seed=0)

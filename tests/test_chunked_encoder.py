@@ -299,6 +299,7 @@ def test_results_do_not_depend_on_chunk_boundaries(structure):
         _assert_close(split_grads[name], whole_grads[name], name)
 
 
+@pytest.mark.slow
 def test_padded_chunk_finite_differences():
     # Lengths 2, 5 and 9 in one chunk: the two short sentences are padded to
     # nine steps in both LSTM directions.

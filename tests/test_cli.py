@@ -289,6 +289,7 @@ class TestTrainEvalPredict:
 
 
 class TestGradcheckCommand:
+    @pytest.mark.slow
     def test_passes_at_default_tolerance(self, capsys):
         assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -46,6 +47,24 @@ class TestVocabFile:
         path = tmp_path / "vocab.json"
         path.write_text('{"dep_labels": ["amod"]}', encoding="utf-8")
         with pytest.raises(DataFormatError):
+            load_vocab(path)
+
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"dep_labels": [1, 2], "relations": ["None"]}',
+             "item 1 field 'dep_labels' must be a string, got int"),
+            ('{"dep_labels": "abc", "relations": ["None"]}',
+             "field 'dep_labels' must be a list, got str"),
+            ('{"dep_labels": ["amod"], "relations": ["None"], "ne_tags": [null]}',
+             "item 1 field 'ne_tags' must be a string, got NoneType"),
+        ],
+    )
+    def test_mistyped_list_named(self, tmp_path, payload, message):
+        path = tmp_path / "vocab.json"
+        path.write_text(payload, encoding="utf-8")
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: .*{re.escape(message)}$"):
             load_vocab(path)
 
 

@@ -112,6 +112,44 @@ class TestInitParams:
             assert np.array_equal(a[name], b[name])
 
 
+class TestParamLayout:
+    @pytest.fixture
+    def params(self, vocab5):
+        config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, ner_head=True, seed=3)
+        return init_params(config, vocab5, num_words=7)
+
+    def test_every_tensor_is_a_view_of_flat(self, params):
+        assert params.param_count() == params.flat.size == sum(t.size for t in params.values())
+        for name, tensor in params.items():
+            assert np.shares_memory(tensor, params.flat), name
+        # writing through a tensor writes flat
+        params["cls.b"][0] = 7.5
+        assert 7.5 in params.flat
+
+    def test_l2_tensors_fill_one_slice(self, params):
+        l2 = params.flat[params.l2]
+        inside = [name for name, t in params.items() if np.shares_memory(t, l2)]
+        assert inside == ["lstm_l.Wx", "lstm_l.Wh", "lstm_r.Wx", "lstm_r.Wh", "grn.W", "cls.W",
+                          "ner.W"]
+        assert sum(params[name].size for name in inside) == l2.size
+
+    def test_wh_pair_is_adjacent(self, params):
+        wh = params.stacked("lstm_l.Wh", "lstm_r.Wh")
+        assert np.shares_memory(wh, params.flat)
+        assert np.array_equal(wh, np.stack([params["lstm_l.Wh"], params["lstm_r.Wh"]]))
+        with pytest.raises(ValueError, match="not adjacent"):
+            params.stacked("lstm_r.Wh", "lstm_l.Wh")
+
+    def test_copies_and_buffers_share_the_layout(self, params):
+        assert not params.zero_grads().flat.any()
+        for other in (params.copy(), params.zero_grads()):
+            assert not np.shares_memory(other.flat, params.flat)
+            assert other.names() == params.names() and other.l2 == params.l2
+            other.flat[:] = params.flat
+            for name in params:
+                assert np.array_equal(other[name], params[name]), name
+
+
 def _shared_lstm_params(wx, wh, b):
     # Both directions get the same weights.
     return ModelParams(
@@ -173,15 +211,27 @@ class TestSigmoid:
         out[~pos] = ex / (1.0 + ex)
         return out
 
-    def test_bitwise_equal_to_two_branch_formula_without_fp_warnings(self):
-        x = np.array(
-            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf, np.nan]
-        )
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, np.inf, -np.inf, np.nan]
+
+    def _assert_bitwise_equal(self, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 got = _sigmoid(x)
-        assert np.array_equal(got.view(np.uint64), self._two_branch(x).view(np.uint64))
+                want = self._two_branch(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_bitwise_equal_to_two_branch_formula_without_fp_warnings(self):
+        self._assert_bitwise_equal(np.array(self.SPECIAL))
+
+    def test_bitwise_equal_on_a_gate_block(self):
+        # A 64 x 600 block is larger than one of numpy's buffers for
+        # where-style operations; specials sit among ordinary values.
+        rng = np.random.default_rng(17)
+        x = rng.normal(scale=4.0, size=(64, 600))
+        spots = rng.choice(x.size, size=400, replace=False)
+        x.flat[spots] = rng.choice([*self.SPECIAL, 1.0, -1.0], size=spots.size)
+        self._assert_bitwise_equal(x)
 
 
 class TestGrnOracle:
@@ -661,6 +711,27 @@ class TestCheckpoint:
 
         with pytest.raises(ValueError, match="tensor 'cls.b' has non-finite values"):
             checkpoint_from_bytes(self._tampered(vocab5, edit))
+
+    @pytest.mark.parametrize(
+        "data, reason",
+        [("A", "Invalid base64-encoded string"), ("AAAA", "multiple of element size")],
+    )
+    def test_data_that_is_not_float64_base64_named(self, vocab5, tmp_path, data, reason):
+        blob = self._tampered(vocab5, lambda p: p["tensors"]["cls.b"].update(data=data))
+        message = f"tensor 'cls.b' field 'data' is not base64 of float64 values: .*{reason}"
+        with pytest.raises(ValueError, match=f"^{message}"):
+            checkpoint_from_bytes(blob)
+        path = tmp_path / "model.json"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_checkpoint(str(path))
+
+    def test_loaded_tensors_are_views_of_one_vector(self, vocab5):
+        ckpt = self._checkpoint(vocab5)
+        back = checkpoint_from_bytes(checkpoint_to_bytes(ckpt)).params
+        assert back.flat.tobytes() == ckpt.params.flat.tobytes()
+        for name, tensor in back.items():
+            assert np.shares_memory(tensor, back.flat), name
 
     def test_missing_config_field_rejected(self, vocab5):
         blob = self._tampered(vocab5, lambda p: p["config"].pop("steps"))

@@ -23,6 +23,7 @@ from forestrel.forest import edgewise_forest
 from forestrel.training import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     OptimizationError,
     OptimizerState,
@@ -176,7 +177,7 @@ class TestAdam:
         params = ModelParams({"w": np.array([[value]])})
         state = OptimizerState.for_params(params)
         for _ in range(steps):
-            adam_step(params, {"w": np.array([[grad]])}, state, config)
+            adam_step(params, ModelParams({"w": np.array([[grad]])}), state, config)
         return params["w"][0, 0]
 
     def test_first_step_closed_form(self):
@@ -202,23 +203,18 @@ class TestAdam:
                 "word_emb": np.ones((3, 2)),
             }
         )
-        grads = {name: np.zeros_like(t) for name, t in params.items()}
+        grads = ModelParams({name: np.zeros_like(t) for name, t in params.items()})
         state = OptimizerState.for_params(params)
         adam_step(params, grads, state, TrainConfig(learning_rate=0.1, l2=0.01))
         assert not np.array_equal(params["cls.W"], np.ones((2, 2)))
         assert np.array_equal(params["cls.b"], np.ones(2))
         assert np.array_equal(params["word_emb"], np.ones((3, 2)))
 
-    def test_bitwise_equal_to_textbook_update(self):
+    @staticmethod
+    def _assert_textbook_bits(start, rng):
         # The textbook expressions, temporaries and all; adam_step must give
         # the same bits on weight matrices (with L2), biases and embeddings.
         config = TrainConfig(learning_rate=0.01, l2=0.05)
-        rng = np.random.default_rng(3)
-        start = {
-            "cls.W": rng.normal(size=(3, 4)),
-            "cls.b": rng.normal(size=4),
-            "word_emb": rng.normal(size=(5, 2)),
-        }
         params = ModelParams({name: t.copy() for name, t in start.items()})
         state = OptimizerState.for_params(params)
         theta = {name: t.copy() for name, t in start.items()}
@@ -230,10 +226,10 @@ class TestAdam:
                 name: rng.choice([-1.0, 1.0], size=x.shape) * 10.0 ** rng.uniform(-8, 2, x.shape)
                 for name, x in start.items()
             }
-            adam_step(params, grads, state, config)
+            adam_step(params, ModelParams(grads), state, config)
             for name in start:
                 g = grads[name]
-                if name == "cls.W":
+                if g.ndim == 2 and not name.endswith("_emb"):
                     g = g + 2.0 * config.l2 * theta[name]
                 first[name] = b1 * first[name] + (1.0 - b1) * g
                 second[name] = b2 * second[name] + (1.0 - b2) * (g * g)
@@ -243,12 +239,41 @@ class TestAdam:
                 got, want = params[name].view(np.uint64), theta[name].view(np.uint64)
                 assert np.array_equal(got, want), (name, t)
 
+    def test_bitwise_equal_to_textbook_update(self):
+        rng = np.random.default_rng(3)
+        start = {
+            "cls.W": rng.normal(size=(3, 4)),
+            "cls.b": rng.normal(size=4),
+            "word_emb": rng.normal(size=(5, 2)),
+        }
+        self._assert_textbook_bits(start, rng)
+
+    def test_bitwise_equal_to_textbook_update_over_blocks(self, vocab5):
+        # A whole model whose vector spans several blocks, the L2 slice
+        # starting inside one.
+        config = ModelConfig(dim_word=8, dim_label=4, dim_hidden=32, ner_head=True, seed=4)
+        model = init_params(config, vocab5, num_words=40)
+        assert model.flat.size > 2 * ADAM_BLOCK and model.l2.start % ADAM_BLOCK
+        self._assert_textbook_bits(model, np.random.default_rng(3))
+
     def test_non_finite_gradient_is_fatal(self):
         params = ModelParams({"w": np.ones((2, 2))})
         state = OptimizerState.for_params(params)
-        bad = {"w": np.array([[1.0, np.nan], [0.0, 0.0]])}
+        bad = ModelParams({"w": np.array([[1.0, np.nan], [0.0, 0.0]])})
         with pytest.raises(OptimizationError, match="'w'"):
             adam_step(params, bad, state, TrainConfig())
+
+    def test_non_finite_gradient_in_the_last_tensor_is_named(self, vocab5):
+        params = init_params(ModelConfig(dim_word=3, dim_label=2, dim_hidden=2), vocab5, 5)
+        grads = params.zero_grads()
+        grads.flat[-1] = np.nan
+        (last,) = [name for name, g in grads.items() if np.isnan(g).any()]
+        assert last != params.names()[-1]  # the layout's order is not the names'
+        state = OptimizerState.for_params(params)
+        before = params.flat.copy()
+        with pytest.raises(OptimizationError, match=f"parameter '{re.escape(last)}'"):
+            adam_step(params, grads, state, TrainConfig())
+        assert params.flat.tobytes() == before.tobytes() and state.step == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
