@@ -16,7 +16,7 @@ import sys
 
 from . import dataio, forest as forestmod, training
 from .core import LabelVocab, RelationInstance
-from .encoder import ModelConfig, load_checkpoint, save_checkpoint
+from .encoder import STRUCTURES, ModelConfig, load_checkpoint, save_checkpoint
 from .training import TrainConfig
 
 
@@ -238,11 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--min-len", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=9)
-    p.add_argument("--labels", type=int, default=6)
-    p.add_argument("--temperature", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-len", type=int, default=dataio.SynthSpec.min_len)
+    p.add_argument("--max-len", type=int, default=dataio.SynthSpec.max_len)
+    p.add_argument("--labels", type=int, default=dataio.SynthSpec.n_dep_labels)
+    p.add_argument("--temperature", type=float, default=dataio.SynthSpec.temperature)
+    p.add_argument("--seed", type=int, default=dataio.SynthSpec.seed)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("forest", help="turn arc probabilities into forests")
@@ -275,20 +275,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-forests", default=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--log", required=True)
-    p.add_argument("--structure", choices=("textonly", "tree", "forest"), default="forest")
+    p.add_argument("--structure", choices=STRUCTURES, default="forest")
     p.add_argument("--weighted", action="store_true")
     p.add_argument("--ner-loss", action="store_true")
-    p.add_argument("--dim-word", type=int, default=100)
-    p.add_argument("--dim-label", type=int, default=32)
-    p.add_argument("--dim-hidden", type=int, default=100)
-    p.add_argument("--steps", type=int, default=2)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch", type=int, default=20)
-    p.add_argument("--l2", type=float, default=1e-8)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim-word", type=int, default=ModelConfig.dim_word)
+    p.add_argument("--dim-label", type=int, default=ModelConfig.dim_label)
+    p.add_argument("--dim-hidden", type=int, default=ModelConfig.dim_hidden)
+    p.add_argument("--steps", type=int, default=ModelConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--seed", type=int, default=ModelConfig.seed)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on labeled data")

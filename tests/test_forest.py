@@ -25,9 +25,6 @@ from forestrel.forest import (
     _arc_tables,
     _build_chart,
     _Chart,
-    best_label,
-    brute_force_kbest,
-    decode_1best,
     decode_kbest,
     edgewise_forest,
     forest_density,
@@ -38,6 +35,8 @@ from forestrel.forest import (
     oracle_las,
 )
 from forestrel.encoder import build_gnn_graph
+import reference
+from reference import best_label, brute_force_kbest, candidates, decode_1best, heads
 
 
 def _key(tree, vocab):
@@ -68,7 +67,7 @@ def _reference_chart(probs, k):
     n = probs.n
     arcs = {}
     for m in range(1, n + 1):
-        for h in probs.heads(m):
+        for h in heads(probs, m):
             label, p = best_label(probs, h, m)
             arcs[h, m] = (math.log(p), (m, h, probs.vocab.dep_index(label)))
     chart = {}
@@ -157,7 +156,7 @@ class TestArcTables:
             logp, label_idx, prob = _arc_tables(probs)
             for h in range(n + 1):
                 for m in range(1, n + 1):
-                    cands = probs.candidates(m, h)
+                    cands = candidates(probs, m, h)
                     if not cands:
                         assert (logp[h, m], label_idx[h][m], prob[h][m]) == (-math.inf, -1, 0.0)
                         continue
@@ -254,6 +253,29 @@ class TestBruteForce:
         probs = ArcProbabilities("s", 9, vocab5, entries)
         with pytest.raises(ValueError, match="capped"):
             brute_force_kbest(probs, 1)
+
+    def test_reads_neither_the_arc_tables_nor_the_chart(
+        self, vocab5, arc_grid_factory, tied_grid_factory, monkeypatch
+    ):
+        # An oracle that shared the decoder's tables or chart would share
+        # their faults.  Every binding of the two, in the package or the
+        # reference, raises.
+        def unavailable(*args):
+            raise AssertionError("the decoder's arc tables and chart are off limits")
+
+        originals = (forestmod._arc_tables, forestmod._build_chart)
+        for module in (forestmod, reference):
+            for name, value in list(vars(module).items()):
+                if any(value is fn for fn in originals):
+                    monkeypatch.setattr(module, name, unavailable)
+        rng = np.random.default_rng(8)
+        for make in (arc_grid_factory, tied_grid_factory):
+            for trial in range(10):
+                probs = make(rng, vocab5, int(rng.integers(2, 7)), sentence_id=f"i{trial}")
+                with pytest.raises(AssertionError, match="off limits"):
+                    decode_kbest(probs, 3)
+                trees = brute_force_kbest(probs, 3)
+                assert trees and all(check_tree(tree) == [] for tree in trees)
 
 
 class TestKBestProperties:
@@ -463,10 +485,10 @@ class TestInjectFallback:
         probs = ArcProbabilities("s", 3, vocab5, [(2, 0, "nsubj", 0.9)])
         patched = inject_fallback(probs, 0.25)
         assert patched.uncovered_modifiers() == []
-        assert patched.heads(1) == (0, 2, 3)
-        assert patched.candidates(1, 2) == (("amod", 0.25),)
+        assert heads(patched, 1) == (0, 2, 3)
+        assert candidates(patched, 1, 2) == (("amod", 0.25),)
         # the covered position is untouched
-        assert patched.candidates(2, 0) == (("nsubj", 0.9),)
+        assert candidates(patched, 2, 0) == (("nsubj", 0.9),)
         decode_1best(patched)  # now decodable
 
     def test_eps_validation(self, vocab5):

@@ -268,7 +268,7 @@ class TestAdam:
         grads = params.zero_grads()
         grads.flat[-1] = np.nan
         (last,) = [name for name, g in grads.items() if np.isnan(g).any()]
-        assert last != params.names()[-1]  # the layout's order is not the names'
+        assert last != list(params)[-1]  # the layout's order is not the names'
         state = OptimizerState.for_params(params)
         before = params.flat.copy()
         with pytest.raises(OptimizationError, match=f"parameter '{re.escape(last)}'"):
