@@ -6,15 +6,17 @@ Two routes produce forests:
 * ``decode_kbest`` + ``merge_trees`` unions the K best projective trees.
 
 Decoding uses the classic O(n^3) span chart over complete/incomplete
-half-spans with ROOT fixed at position 0 (Eisner 1996).  Each of the four item
-types keeps a ``(n+1, n+1, K)`` array of scores plus backpointers (split
-point, left rank, right rank), as in Huang & Chiang 2005.  One span length is
-filled for every start position at once: all splits x K x K candidates are
-scored in one array expression and each item keeps its K best.  Edge sets are
-rebuilt from the backpointers only where the tie rule needs them and for the
-goal item's K derivations.  Arc scores are log-probabilities of each arc's
-best label, so K-best diversity is purely structural; the dense arc tables
-and edgewise thresholding are array operations on the arc arrays.
+half-spans with ROOT fixed at position 0 (Eisner 1996).  Each item keeps its
+K best derivations (Huang & Chiang 2005) as scores stored by (start, length)
+and again by (end, length), so every sub-span list is a slice, and as one
+backpointer each: the flat index of the derivation's candidate.  One span
+length is filled for every start and both directions at once: all splits x
+K x K candidates are scored in one array expression and each item keeps its
+K best through K+1 row-wise argmax rounds.  Edge sets are rebuilt from the
+backpointers only where the tie rule needs them and for the goal item's K
+derivations.  Arc scores are log-probabilities of each arc's best label, so
+K-best diversity is purely structural; the dense arc tables and edgewise
+thresholding are array operations on the arc arrays.
 
 Ties are broken deterministically everywhere: compare log-scores first, then
 the lexicographically sorted (modifier, head, label-index) edge list.  The
@@ -44,6 +46,9 @@ LEFT, RIGHT = 0, 1  # RIGHT: head at the left end of the span
 COMPLETE, INCOMPLETE = 0, 1
 
 NEG_INF = float("-inf")
+# Most float64s one span length's candidate array may hold (max over L of
+# 2 * (n+1-L) * L * K**2; n=40, K=20 needs 336,000); selection copies it once.
+MAX_CANDIDATES = 16_000_000
 
 class DecodingError(ValueError):
     """Decoding preconditions violated or no analysis exists."""
@@ -105,39 +110,42 @@ def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], l
     return logp, label_idx.tolist(), prob.tolist()
 
 
-def _subspans(direction: int, shape: int, i: int, j: int, s: int) -> tuple[tuple, tuple]:
-    """The two half-spans a derivation of ``(direction, shape, i, j)`` split at ``s`` joins."""
-    if shape == INCOMPLETE:
-        return (RIGHT, COMPLETE, i, s), (LEFT, COMPLETE, s + 1, j)
-    if direction == RIGHT:
-        return (RIGHT, INCOMPLETE, i, s), (RIGHT, COMPLETE, s, j)
-    return (LEFT, COMPLETE, i, s), (LEFT, INCOMPLETE, s, j)
-
-
 class _Chart:
     """K-best lists of every half-span as score and backpointer arrays.
 
-    ``score[direction, shape, i, j, r]`` is the log-score of the rank-``r``
-    derivation of half-span ``i..j`` (inclusive; ``direction`` is RIGHT when
-    the head sits at the left end), -inf past the last derivation.
-    ``split``, ``left`` and ``right`` hold its split point and the ranks of
-    the two sub-derivations ``_subspans`` names.  Each item's derivations are
-    sorted strictly descending under the tie rule, and there are at most
-    ``k``.  Edge sets are rebuilt from the backpointers only on demand.
+    ``score[direction, shape, i, l, r]`` is the log-score of the rank-``r``
+    derivation of the half-span of length ``l`` that starts at ``i``
+    (``direction`` is RIGHT when the head sits at the left end), -inf past the
+    last derivation.  ``by_end[direction, shape, i + l, l, r]`` holds the same
+    score keyed by the span's end, so every sub-span list one span length
+    reads is a slice of one layout or the other.  ``back`` holds the flat
+    index ``(t * k + a) * k + b`` of the derivation's candidate, which
+    ``_subspans`` decodes into split offset ``t`` and the ranks ``a`` and
+    ``b`` of its two sub-derivations.  Each item's derivations are sorted
+    strictly descending under the tie rule, and there are at most ``k``.
+    Edge sets are rebuilt from the backpointers only on demand.
     """
 
     def __init__(self, n: int, k: int, label_idx: list[list[int]], prob: list[list[float]]) -> None:
         shape = (2, 2, n + 1, n + 1, k)
         self.k = k
         self.score = np.full(shape, NEG_INF)
-        diagonal = np.arange(n + 1)
-        self.score[:, COMPLETE, diagonal, diagonal, 0] = 0.0  # the empty derivation
-        self.split = np.zeros(shape, dtype=np.min_scalar_type(n))
-        self.left = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
-        self.right = np.zeros(shape, dtype=np.min_scalar_type(k - 1))
+        self.score[:, COMPLETE, :, 0, 0] = 0.0  # the empty derivation
+        self.by_end = self.score.copy()
+        self.back = np.zeros(shape, dtype=np.min_scalar_type(n * k * k))
         self.label_idx = label_idx
         self.prob = prob
         self._edges: dict[tuple[int, int, int, int, int], tuple[tuple[int, int, int], ...]] = {}
+
+    def _subspans(self, direction: int, shape: int, i: int, j: int, c: int) -> tuple[tuple, tuple]:
+        """The ``(direction, shape, start, end, rank)`` sub-derivations candidate ``c`` joins."""
+        k = self.k
+        s, a, b = i + c // (k * k), c // k % k, c % k
+        if shape == INCOMPLETE:
+            return (RIGHT, COMPLETE, i, s, a), (LEFT, COMPLETE, s + 1, j, b)
+        if direction == RIGHT:  # splits start one past i: the head needs its dependent
+            return (RIGHT, INCOMPLETE, i, s + 1, a), (RIGHT, COMPLETE, s + 1, j, b)
+        return (LEFT, COMPLETE, i, s, a), (LEFT, INCOMPLETE, s, j, b)
 
     def _join(self, direction: int, shape: int, i: int, j: int, left: tuple, right: tuple) -> tuple:
         # The sub-spans' modifiers are disjoint and ordered, so joining their
@@ -157,13 +165,12 @@ class _Chart:
             if top in memo:
                 todo.pop()
                 continue
-            direction, shape, i, j, _ = top
+            direction, shape, i, j, rank = top
             if i == j:
                 memo[top] = ()
                 todo.pop()
                 continue
-            lsub, rsub = _subspans(direction, shape, i, j, int(self.split[top]))
-            parts = (lsub + (int(self.left[top]),), rsub + (int(self.right[top]),))
+            parts = self._subspans(direction, shape, i, j, int(self.back[direction, shape, i, j - i, rank]))
             missing = [part for part in parts if part not in memo]
             if missing:
                 todo.extend(missing)
@@ -174,63 +181,60 @@ class _Chart:
 
     def hypotheses(self, direction: int, shape: int, i: int, j: int) -> list[tuple[float, tuple]]:
         """The item's ``(log_score, edges)`` list, best first."""
-        scores = self.score[direction, shape, i, j]
+        scores = self.score[direction, shape, i, j - i]
         return [
             (float(scores[r]), self.edges((direction, shape, i, j, r)))
             for r in range(self.k)
             if scores[r] > NEG_INF
         ]
 
-    def fill(self, shape: int, directions: np.ndarray, starts: np.ndarray, firsts: np.ndarray,
-             length: int, cands: np.ndarray) -> None:
-        """Keep the K best candidates of each row's item.
+    def fill(self, shape: int, length: int, cands: np.ndarray) -> None:
+        """Keep the K best candidates of every item of one shape and length.
 
-        Row ``r`` is item ``(directions[r], shape, starts[r], starts[r] + length)``;
-        ``cands[r, t, a, b]`` scores its derivation split at
-        ``starts[r] + firsts[r] + t`` from sub-derivations of ranks ``a`` and ``b``.
+        ``cands[direction, i, t, a, b]`` scores the derivation of item
+        ``(direction, shape, i, i + length)`` at split offset ``t`` from
+        sub-derivations of ranks ``a`` and ``b``.
         """
-        k = self.k
-        rows, width = len(starts), cands[0].size
-        flat = cands.reshape(rows, width)
-        row_idx = np.arange(rows)[:, None]
-        if width > k + 1:
-            top = np.argpartition(flat, width - k - 1, axis=1)[:, width - k - 1:]
-        else:
-            top = np.broadcast_to(np.arange(width), (rows, width))
-        vals = flat[row_idx, top]
-        order = np.argsort(-vals, axis=1, kind="stable")
-        vals = vals[row_idx, order]
-        top = top[row_idx, order[:, :k]]
-        kept = top.shape[1]
-        item = (directions, shape, starts, starts + length, slice(0, kept))
-        self.score[item] = vals[:, :kept]
-        self.split[item] = top // (k * k) + (starts + firsts)[:, None]
-        self.left[item] = top // k % k
-        self.right[item] = top % k
+        rows = cands.shape[1]
+        flat = cands.reshape(2 * rows, -1)
+        picks = min(self.k + 1, flat.shape[1])
+        # Take the maximum K+1 times from a copy, striking each pick out.  A
+        # row with fewer finite candidates than picks takes a struck index
+        # again, so each value is read from the copy as it is picked.
+        work = flat.copy()
+        cells = work.ravel()
+        offsets = np.arange(0, cells.size, flat.shape[1])
+        top = np.empty((2 * rows, picks), dtype=np.intp)
+        vals = np.empty((2 * rows, picks))
+        for p in range(picks):
+            top[:, p] = at = work.argmax(axis=1)
+            at += offsets
+            vals[:, p] = cells[at]
+            cells[at] = NEG_INF
+        kept = min(self.k, picks)
+        self.score[:, shape, :rows, length, :kept] = self.by_end[:, shape, length:, length, :kept] = (
+            vals[:, :kept].reshape(2, rows, kept))
+        self.back[:, shape, :rows, length, :kept] = top[:, :kept].reshape(2, rows, kept)
         # Equal finite scores among the K+1 best leave the order, or the cut,
         # to the edge sets: re-rank those rows exactly under the tie rule.
         tied = ((vals[:, 1:] == vals[:, :-1]) & (vals[:, 1:] > NEG_INF)).any(axis=1)
         for r in np.flatnonzero(tied).tolist():
-            self._rerank(int(directions[r]), shape, int(starts[r]), int(firsts[r]), length,
-                         flat[r], vals[r, kept - 1])
+            self._rerank(r // rows, shape, r % rows, length, flat[r], vals[r, kept - 1])
 
-    def _rerank(self, direction: int, shape: int, i: int, first: int, length: int,
+    def _rerank(self, direction: int, shape: int, i: int, length: int,
                 row: np.ndarray, cutoff: float) -> None:
         """Sort every candidate scoring at least ``cutoff`` by (-score, edges); keep K."""
-        k = self.k
         j = i + length
         ranked = []
         for c in np.flatnonzero((row >= cutoff) & (row > NEG_INF)).tolist():
-            s, a, b = i + first + c // (k * k), c // k % k, c % k
-            lsub, rsub = _subspans(direction, shape, i, j, s)
-            key = self._join(direction, shape, i, j, self.edges(lsub + (a,)), self.edges(rsub + (b,)))
-            ranked.append((-float(row[c]), key, s, a, b))
+            lsub, rsub = self._subspans(direction, shape, i, j, c)
+            key = self._join(direction, shape, i, j, self.edges(lsub), self.edges(rsub))
+            ranked.append((-float(row[c]), key, c))
         ranked.sort()
-        for r, (neg_score, key, s, a, b) in enumerate(ranked[:k]):
-            item = (direction, shape, i, j, r)
-            self.score[item] = -neg_score
-            self.split[item], self.left[item], self.right[item] = s, a, b
-            self._edges[item] = key
+        # ``fill`` wrote the K best scores; ties only move candidates between ranks.
+        for r, (_, key, c) in enumerate(ranked[:self.k]):
+            self.back[direction, shape, i, length, r] = c
+            self._edges[(direction, shape, i, j, r)] = key
 
 
 def _build_chart(probs: ArcProbabilities, k: int) -> _Chart:
@@ -243,45 +247,25 @@ def _build_chart(probs: ArcProbabilities, k: int) -> _Chart:
     n = probs.n
     logp, label_idx, prob = _arc_tables(probs)
     chart = _Chart(n, k, label_idx, prob)
-    score = chart.score
+    start, end = chart.score, chart.by_end
     for length in range(1, n + 1):
-        starts = np.arange(n + 1 - length)
-        ends = starts + length
-        i = starts[:, None]
-        j = ends[:, None]
-        t = np.arange(length)
-        both = np.concatenate((starts, starts))
-        directions = np.repeat(np.array([RIGHT, LEFT]), len(starts))
+        rows = n + 1 - length
+        cands = np.empty((2, rows, length, k, k))
         # Incomplete spans attach the arc between the endpoints to a
-        # head-left complete span i..s and a head-right one s+1..j.
-        arcs = np.concatenate((logp[starts, ends], logp[ends, starts]))
-        live = np.flatnonzero(arcs > NEG_INF)
-        if live.size:
-            sub = both[live][:, None]
-            cands = ((arcs[live, None, None, None]
-                      + score[RIGHT, COMPLETE][sub, sub + t][..., :, None])
-                     + score[LEFT, COMPLETE][sub + t + 1, sub + length][..., None, :])
-            chart.fill(INCOMPLETE, directions[live], both[live], np.zeros_like(live), length, cands)
+        # head-left complete span i..s and a head-right one s+1..j; a -inf
+        # arc leaves its row at -inf.
+        arcs = np.stack((np.diagonal(logp, -length), np.diagonal(logp, length)))
+        np.add(arcs[:, :, None, None, None], start[RIGHT, COMPLETE, :rows, :length, :, None], out=cands)
+        cands += end[LEFT, COMPLETE, length:, length - 1::-1, None, :]
+        chart.fill(INCOMPLETE, length, cands)
         # Complete spans absorb a finished dependent span: head-left i..s
         # incomplete + s..j complete, or head-right i..s complete + s..j incomplete.
-        cands = np.concatenate((
-            score[RIGHT, INCOMPLETE][i, i + t + 1][..., :, None]
-            + score[RIGHT, COMPLETE][i + t + 1, j][..., None, :],
-            score[LEFT, COMPLETE][i, i + t][..., :, None]
-            + score[LEFT, INCOMPLETE][i + t, j][..., None, :],
-        ))
-        firsts = np.repeat(np.array([1, 0]), len(starts))
-        chart.fill(COMPLETE, directions, both, firsts, length, cands)
+        np.add(start[RIGHT, INCOMPLETE, :rows, 1:length + 1, :, None],
+               end[RIGHT, COMPLETE, length:, length - 1::-1, None, :], out=cands[RIGHT])
+        np.add(start[LEFT, COMPLETE, :rows, :length, :, None],
+               end[LEFT, INCOMPLETE, length:, length:0:-1, None, :], out=cands[LEFT])
+        chart.fill(COMPLETE, length, cands)
     return chart
-
-
-def _check_coverage(probs: ArcProbabilities) -> None:
-    uncovered = probs.uncovered_modifiers()
-    if uncovered:
-        raise DecodingError(
-            f"sentence {probs.sentence_id!r}: uncovered modifiers (no head candidates) "
-            f"at positions {uncovered}"
-        )
 
 
 def _goal_trees(chart: _Chart, probs: ArcProbabilities) -> list[tuple[DependencyTree, tuple]]:
@@ -300,11 +284,24 @@ def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
     Scores are sums of best-label log-probabilities; distinct means distinct
     labeled edge sets.  Fewer than K trees are returned when the candidate arcs
     admit fewer analyses.  Raises DecodingError when some position has no head
-    candidates at all.
+    candidates at all, or when one span length would score more than
+    ``MAX_CANDIDATES`` candidates.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_coverage(probs)
+    uncovered = probs.uncovered_modifiers()
+    if uncovered:
+        raise DecodingError(
+            f"sentence {probs.sentence_id!r}: uncovered modifiers (no head candidates) "
+            f"at positions {uncovered}"
+        )
+    half = (probs.n + 1) // 2  # the span length with the most candidates
+    size = 2 * half * (probs.n + 1 - half) * k * k
+    if size > MAX_CANDIDATES:
+        raise DecodingError(
+            f"sentence {probs.sentence_id!r}: n={probs.n}, K={k} needs {size} chart "
+            f"candidates for one span length, over the limit of {MAX_CANDIDATES}"
+        )
     trees = _goal_trees(_build_chart(probs, k), probs)
     trees.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in trees[:k]]

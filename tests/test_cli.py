@@ -1,10 +1,12 @@
 """End-to-end command-line behaviour driven through cli.main."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
+from forestrel import forest as forestmod
 from forestrel.cli import build_parser, main
 from forestrel.core import ArcProbabilities
 from forestrel.dataio import save_arc_probs, synth_vocab, SynthSpec, save_vocab
@@ -149,6 +151,17 @@ class TestForestCommand:
                      "--out", str(tmp_path / "f.jsonl"), "--algo", "kbest", "--k", "2"])
         assert code == 1
         assert "sentence 's0': no projective tree" in capsys.readouterr().err
+
+    def test_chart_over_the_candidate_limit_fails_cleanly(self, synth_dir, monkeypatch, capsys):
+        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 100)
+        out = synth_dir / "k5.jsonl"
+        code = main(["forest", "--vocab", str(synth_dir / "vocab.json"),
+                     "--arcs", str(synth_dir / "arcs.jsonl"),
+                     "--out", str(out), "--algo", "kbest", "--k", "5"])
+        assert code == 1
+        assert re.search(r"^error: sentence '[^']+': n=\d+, K=5 needs \d+ chart candidates",
+                         capsys.readouterr().err, re.MULTILINE)
+        assert not out.exists()
 
     def test_bad_vocab_path_is_reported(self, tmp_path, capsys):
         code = main(["forest", "--vocab", str(tmp_path / "nope.json"),

@@ -352,6 +352,105 @@ class TestChartItems:
                 assert hypotheses == []
 
 
+class TestChartLayout:
+    @pytest.mark.parametrize("factory", ["arc_grid_factory", "tied_grid_factory"])
+    def test_score_layouts_agree_and_backpointers_rebuild_each_score(self, vocab5, factory, request):
+        make = request.getfixturevalue(factory)
+        rng = np.random.default_rng(29)
+        for trial in range(12):
+            n = int(rng.integers(2, 16))
+            k = int(rng.choice([1, 3, 5]))
+            probs = make(rng, vocab5, n, sentence_id=f"l{trial}")
+            chart = _build_chart(probs, k)
+            logp = _arc_tables(probs)[0]
+            for length in range(n + 1):
+                assert np.array_equal(
+                    chart.score[:, :, : n + 1 - length, length], chart.by_end[:, :, length:, length]
+                )
+            for item in zip(*np.nonzero(chart.score[:, :, :, 1:] > -math.inf)):
+                direction, shape, i, length, rank = (int(x) for x in item)
+                length += 1
+                j = i + length
+                back = int(chart.back[direction, shape, i, length, rank])
+                lsub, rsub = chart._subspans(direction, shape, i, j, back)
+                # (direction, shape, start, end, rank): the split lies inside i..j
+                assert lsub[2] == i and rsub[3] == j
+                assert i <= lsub[3] <= rsub[2] <= j
+                assert rsub[2] - lsub[3] == (1 if shape == INCOMPLETE else 0)
+                left, right = (chart.score[d, s, a, b - a, r] for d, s, a, b, r in (lsub, rsub))
+                if shape == INCOMPLETE:
+                    arc = logp[i, j] if direction == RIGHT else logp[j, i]
+                    want = (arc + left) + right
+                else:
+                    want = left + right
+                assert chart.score[direction, shape, i, length, rank] == want
+
+
+class TestSelection:
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_rows_with_fewer_finite_candidates_than_picks(self, vocab5, k, monkeypatch):
+        # Few arcs of one probability: many rows hold fewer finite candidates
+        # than the K+1 the selection picks, often tied, beside all -inf rows.
+        # Picking the same struck index twice must not lose a finite one.
+        n = 6
+        entries = [
+            (m, h, label, 0.1)
+            for m in range(1, n + 1)
+            for h in (m - 1, m + 1) + ((0,) if m == 4 else ())
+            if h <= n
+            for label in (("amod", "obj") if m % 2 == 0 else ("amod",))
+        ]
+        probs = ArcProbabilities("few", n, vocab5, entries)
+        seen = set()
+        fill = _Chart.fill
+
+        def recording(chart, shape, length, cands):
+            flat = cands.reshape(2 * cands.shape[1], -1)
+            picks = min(k + 1, flat.shape[1])
+            for row in flat:
+                finite = np.sort(row[row > -math.inf])[::-1][:picks]
+                tied = bool((finite[1:] == finite[:-1]).any())
+                short = 0 < finite.size < picks
+                flags = {"empty": finite.size == 0, "tied": tied, "short": short,
+                         "short and tied": short and tied}
+                seen.update(name for name, hit in flags.items() if hit)
+            fill(chart, shape, length, cands)
+
+        monkeypatch.setattr(_Chart, "fill", recording)
+        want = _reference_chart(probs, k)
+        got = _chart_items(_build_chart(probs, k), n)
+        assert got == {item: want.get(item, []) for item in got}
+        assert decode_kbest(probs, k) == _reference_kbest(probs, k)
+        assert {"empty", "short", "tied"} <= seen
+        assert k == 1 or "short and tied" in seen
+
+
+class TestCandidateLimit:
+    def test_limit_is_the_widest_span_lengths_candidate_count(
+        self, vocab5, arc_grid_factory, monkeypatch
+    ):
+        probs = arc_grid_factory(np.random.default_rng(3), vocab5, 7, sentence_id="long")
+        sizes = []
+        fill = _Chart.fill
+        monkeypatch.setattr(
+            _Chart, "fill", lambda chart, *args: sizes.append(args[-1].size) or fill(chart, *args)
+        )
+        # n=7, K=3: span length 4 scores 2 * 4 * 4 * 3**2 = 288 candidates
+        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 288)
+        assert decode_kbest(probs, 3)
+        assert max(sizes) == 288
+        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 287)
+        with pytest.raises(DecodingError, match=r"'long': n=7, K=3 needs 288 chart candidates"):
+            decode_kbest(probs, 3)
+
+    def test_tested_and_benchmarked_sizes_stay_far_below_it(self, vocab5, arc_grid_factory):
+        # The tests and the benchmark decode at most n=40 with K=20.
+        assert 10 * (2 * 20 * 21 * 20**2) < forestmod.MAX_CANDIDATES
+        probs = arc_grid_factory(np.random.default_rng(4), vocab5, 40, sentence_id="wide")
+        with pytest.raises(DecodingError, match=r"'wide': n=40, K=200 needs 33600000 chart"):
+            decode_kbest(probs, 200)
+
+
 class TestFullEnumerationReference:
     """The array chart against a chart that scores every candidate of every item."""
 
