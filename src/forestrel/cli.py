@@ -201,16 +201,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     )
     print(f"skipped {skipped} records")
     rows = training.predict(checkpoint, instances, forests)
-    with dataio.atomic_open(args.out) as fh:
-        for sid, relation, prob in rows:
-            fh.write(
-                json.dumps(
-                    {"id": sid, "relation": relation, "prob": prob},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                + "\n"
-            )
+    dataio.save_predictions(rows, args.out)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return 0
 

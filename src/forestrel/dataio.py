@@ -11,6 +11,7 @@ Formats::
     arcs:    {"id", "n", "arcs": [[modifier, head, label, prob], ...]}
     forests: {"id", "n", "edges": [[head, label, modifier, prob], ...]}
     vocab:   {"dep_labels", "relations", "ne_tags"}   (the LabelVocab fields)
+    predictions: {"id", "relation", "prob"}      (one line per instance)
 
 Arc and forest rows are kept in canonical (modifier, head, label-index) order,
 which makes load-then-write byte-identical.  Gold trees use the forest format
@@ -18,15 +19,16 @@ which makes load-then-write byte-identical.  Gold trees use the forest format
 reader serve the arc, forest and tree files; they differ in the row key
 ("arcs" or "edges") and the order of a row's fields.
 
-Readers check JSON types first: positions, ``n`` and span ends must be ints
-(not bool, float or str), labels strings and probabilities numbers; the
-error names the file, the line and the field.  The type check splits a
-record's rows into columns, and arc and forest columns go as decoded to the
-one check that ``ArcProbabilities`` and ``DependencyForest`` share, so a
-duplicate (modifier, head, label) row fails in either file.
+Readers check JSON types first: each line and each mention must be a JSON
+object; positions, ``n`` and span ends must be ints (not bool, float or str),
+ids, relations and labels strings, tokens and NE tags lists of strings, and
+probabilities numbers; the error names the file, the line and the field.  The
+type check splits a record's rows into columns, and arc and forest columns go
+as decoded to the one check that ``ArcProbabilities`` and ``DependencyForest``
+share, so a duplicate (modifier, head, label) row fails in either file.
 
-Every writer goes through ``atomic_open``: a file is either the old one or the
-complete new one, never a truncated mix.
+Every JSONL file is written by one writer through ``atomic_open``: a file is
+either the old one or the complete new one, never a truncated mix.
 """
 
 from __future__ import annotations
@@ -66,6 +68,13 @@ def _dumps(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
+def _check_object(value: object, what: str) -> dict:
+    """``value``, if it is a JSON object (``record must be a JSON object, got list``)."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 @contextmanager
 def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
     """Write to a temporary file beside ``path``; a clean exit renames it over ``path``.
@@ -97,7 +106,10 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
 _EDGE_FIELDS = (("head", int), ("label", str), ("modifier", int), ("prob", float))
 _SPANS = [(mention, end) for mention in ("mention1", "mention2") for end in ("start", "end")]
-_SPAN_FIELDS = tuple((f"{mention}.{end}", int) for mention, end in _SPANS)
+_INSTANCE_FIELDS = (("id", str), ("relation", str)) + tuple(
+    (f"{mention}.{end}", int) for mention, end in _SPANS
+)
+_RECORD_FIELDS = (("id", str), ("n", int))
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -105,26 +117,32 @@ def _read_lines(path: str | Path) -> list[tuple[int, str]]:
         return [(no, line.rstrip("\n")) for no, line in enumerate(fh, start=1) if line.strip()]
 
 
+def _write_jsonl(path: str | Path, objs: Iterable) -> None:
+    """One ``_dumps`` line per object, in order."""
+    with atomic_open(path) as fh:
+        for obj in objs:
+            fh.write(_dumps(obj) + "\n")
+
+
 # --------------------------------------------------------------------------
 # Vocabulary files
 
 
 def save_vocab(vocab: LabelVocab, path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        fh.write(_dumps(asdict(vocab)) + "\n")
+    _write_jsonl(path, [asdict(vocab)])
 
 
 def load_vocab(path: str | Path) -> LabelVocab:
     """Read a vocabulary file: ``dep_labels``, ``relations`` and, optionally,
     ``ne_tags`` (default ``["O"]``), each a list of strings."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = _check_object(json.loads(Path(path).read_text(encoding="utf-8")), "vocabulary")
         return LabelVocab(
             tuple(_check_list(payload["dep_labels"], "dep_labels", str)),
             tuple(_check_list(payload["relations"], "relations", str)),
             tuple(_check_list(payload.get("ne_tags", ["O"]), "ne_tags", str)),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: invalid vocabulary file: {exc}") from exc
 
 
@@ -151,28 +169,24 @@ def _instance_to_obj(inst: RelationInstance) -> dict:
     return obj
 
 
-def _instance_from_obj(obj: dict) -> RelationInstance:
-    sentence = Sentence(str(obj["id"]), tuple(str(t) for t in obj["tokens"]))
-    spans = [obj[mention][end] for mention, end in _SPANS]
-    _check_types([spans], _SPAN_FIELDS)
-    m1, m2 = tuple(spans[:2]), tuple(spans[2:])
-    tags = tuple(str(t) for t in obj["ne_tags"]) if "ne_tags" in obj else None
-    return RelationInstance(sentence, m1, m2, str(obj["relation"]), tags)
+def _instance_from_obj(obj: object) -> RelationInstance:
+    obj = _check_object(obj, "record")
+    spans = [_check_object(obj[mention], f"field {mention!r}")[end] for mention, end in _SPANS]
+    sid, relation = obj["id"], obj["relation"]
+    _check_types([[sid, relation, *spans]], _INSTANCE_FIELDS)
+    sentence = Sentence(sid, tuple(_check_list(obj["tokens"], "tokens", str)))
+    tags = tuple(_check_list(obj["ne_tags"], "ne_tags", str)) if "ne_tags" in obj else None
+    return RelationInstance(sentence, tuple(spans[:2]), tuple(spans[2:]), relation, tags)
 
 
 def save_corpus(instances: Iterable[RelationInstance], path: str | Path) -> None:
-    with atomic_open(path) as fh:
-        for inst in instances:
-            fh.write(_dumps(_instance_to_obj(inst)) + "\n")
+    _write_jsonl(path, map(_instance_to_obj, instances))
 
 
-def load_corpus(
-    path: str | Path, vocab: LabelVocab, fail_fast: bool = False
-) -> CorpusLoadResult:
+def load_corpus(path: str | Path, vocab: LabelVocab) -> CorpusLoadResult:
     """Read instances in file order, validating each against the vocabulary.
 
-    Invalid records are skipped and reported with their line numbers unless
-    ``fail_fast`` is set, in which case the first problem raises.
+    Invalid records are skipped and reported as ``path:line: message``.
     """
     instances: list[RelationInstance] = []
     skipped: list[str] = []
@@ -182,14 +196,16 @@ def load_corpus(
             problems = validate_instance(inst, vocab)
             if problems:
                 raise DataFormatError("; ".join(problems))
-        except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            message = f"{path}:{no}: {exc}"
-            if fail_fast:
-                raise DataFormatError(message) from exc
-            skipped.append(message)
+        except (KeyError, TypeError, ValueError) as exc:
+            skipped.append(f"{path}:{no}: {exc}")
             continue
         instances.append(inst)
     return CorpusLoadResult(tuple(instances), tuple(skipped))
+
+
+def save_predictions(rows: Iterable[tuple[str, str, float]], path: str | Path) -> None:
+    """Write ``(sentence id, relation, probability)`` rows, as ``training.predict`` returns them."""
+    _write_jsonl(path, ({"id": sid, "relation": rel, "prob": prob} for sid, rel, prob in rows))
 
 
 # --------------------------------------------------------------------------
@@ -200,9 +216,8 @@ def _write_records(by_id: dict, key: str, rows: Callable, path: str | Path) -> N
     """One arc-format (``key`` "arcs") or forest-format ("edges") line per
     record, in map order; ``rows`` gives a record's rows, which are
     canonically sorted already."""
-    with atomic_open(path) as fh:
-        for sid, record in by_id.items():
-            fh.write(_dumps({"id": sid, "n": record.n, key: rows(record)}) + "\n")
+    lines = ({"id": sid, "n": record.n, key: rows(record)} for sid, record in by_id.items())
+    _write_jsonl(path, lines)
 
 
 def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
@@ -224,18 +239,18 @@ def _read_arc_records(
     out: dict = {}
     for no, line in _read_lines(path):
         try:
-            obj = json.loads(line)
-            sid = str(obj["id"])
+            obj = _check_object(json.loads(line), "record")
+            _check_types([[obj["id"], obj["n"]]], _RECORD_FIELDS)
+            sid = obj["id"]
             if sid in out:
                 raise DataFormatError(f"duplicate sentence id {sid!r}")
-            _check_types([[obj["n"]]], (("n", int),))
             if key == "arcs":
                 columns = _check_types(obj["arcs"], _ARC_FIELDS, "arc")
             else:
                 head, label, modifier, prob = _check_types(obj["edges"], _EDGE_FIELDS, "edge")
                 columns = (modifier, head, label, prob)
             out[sid] = build(sid, obj["n"], vocab, columns)
-        except (DataFormatError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out
 
@@ -284,6 +299,10 @@ def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]
 # --------------------------------------------------------------------------
 # Synthetic data
 
+# The synthetic relation grid: RELATION_ROWS x RELATION_COLS relations, plus "None".
+RELATION_ROWS = 2
+RELATION_COLS = 2
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -292,17 +311,15 @@ class SynthSpec:
     The relation of each instance is a deterministic function of the gold path
     between the two mentions: the label of the first mention's head arc picks a
     row (one row value means "None"), the label of the second mention's head
-    arc picks a column, and (row, column) indexes the relation grid.  Mentions
-    are sampled so neither dominates the other, which keeps both ends of the
-    path pointing upward.
+    arc picks a column, and (row, column) indexes the ``RELATION_ROWS`` x
+    ``RELATION_COLS`` relation grid.  Mentions are sampled so neither
+    dominates the other, which keeps both ends of the path pointing upward.
     """
 
     n_sentences: int
     min_len: int = 4
     max_len: int = 9
     n_dep_labels: int = 6
-    relation_rows: int = 2
-    relation_cols: int = 2
     temperature: float = 0.2
     prob_floor: float = 1e-4
     seed: int = 0
@@ -312,10 +329,8 @@ class SynthSpec:
             raise ValueError("n_sentences must be >= 1")
         if not 3 <= self.min_len <= self.max_len:
             raise ValueError("need 3 <= min_len <= max_len")
-        if self.n_dep_labels < self.relation_rows + 1:
-            raise ValueError("need at least relation_rows + 1 dependency labels")
-        if self.relation_cols < 1 or self.relation_rows < 1:
-            raise ValueError("relation grid must be at least 1x1")
+        if self.n_dep_labels < RELATION_ROWS + 1:
+            raise ValueError(f"need at least {RELATION_ROWS + 1} dependency labels")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
         if not 0.0 <= self.prob_floor < 1.0:
@@ -333,7 +348,7 @@ class SynthData:
 def synth_vocab(spec: SynthSpec) -> LabelVocab:
     dep_labels = tuple(f"dep{i}" for i in range(spec.n_dep_labels))
     relations = tuple(
-        f"R{u}{v}" for u in range(spec.relation_rows) for v in range(spec.relation_cols)
+        f"R{u}{v}" for u in range(RELATION_ROWS) for v in range(RELATION_COLS)
     ) + (NONE_RELATION,)
     ne_tags = ("O", "B-CHEM", "I-CHEM", "B-GENE", "I-GENE")
     return LabelVocab(dep_labels, relations, ne_tags)
@@ -421,11 +436,11 @@ def synth_generate(spec: SynthSpec) -> SynthData:
                 break
         labels = [int(rng.integers(0, n_labels)) for _ in range(n)]
         a, b = pair
-        row = labels[a - 1] % (spec.relation_rows + 1)
-        if row == spec.relation_rows:
+        row = labels[a - 1] % (RELATION_ROWS + 1)
+        if row == RELATION_ROWS:
             relation = NONE_RELATION
         else:
-            col = labels[b - 1] % spec.relation_cols
+            col = labels[b - 1] % RELATION_COLS
             relation = f"R{row}{col}"
         tokens = [filler[int(rng.integers(0, len(filler)))] for _ in range(n)]
         tokens[a - 1] = chem[int(rng.integers(0, len(chem)))]

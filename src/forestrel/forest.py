@@ -46,8 +46,10 @@ LEFT, RIGHT = 0, 1  # RIGHT: head at the left end of the span
 COMPLETE, INCOMPLETE = 0, 1
 
 NEG_INF = float("-inf")
-# Most float64s one span length's candidate array may hold (max over L of
-# 2 * (n+1-L) * L * K**2; n=40, K=20 needs 336,000); selection copies it once.
+# Most float64s ``decode_kbest`` may hold at once: the two score layouts,
+# 2 * 4*(n+1)**2*K, plus the widest span length's candidate array and the copy
+# ``fill`` selects from, 2 * 2*h*(n+1-h)*K**2 with h = (n+1)//2 (the max over
+# span lengths L of 2*(n+1-L)*L*K**2); n=40, K=20 needs 940,960.
 MAX_CANDIDATES = 16_000_000
 
 class DecodingError(ValueError):
@@ -283,24 +285,24 @@ def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
 
     Scores are sums of best-label log-probabilities; distinct means distinct
     labeled edge sets.  Fewer than K trees are returned when the candidate arcs
-    admit fewer analyses.  Raises DecodingError when some position has no head
-    candidates at all, or when one span length would score more than
-    ``MAX_CANDIDATES`` candidates.
+    admit fewer analyses.  Raises DecodingError when the chart would hold more
+    than ``MAX_CANDIDATES`` float64s, or when some position has no head
+    candidates at all.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    size, half = probs.n + 1, (probs.n + 1) // 2  # the span length with the most candidates
+    floats = 2 * 4 * size * size * k + 2 * 2 * half * (size - half) * k * k
+    if floats > MAX_CANDIDATES:
+        raise DecodingError(
+            f"sentence {probs.sentence_id!r}: n={probs.n}, K={k} needs {floats} chart "
+            f"float64s, over the limit of {MAX_CANDIDATES}"
+        )
     uncovered = probs.uncovered_modifiers()
     if uncovered:
         raise DecodingError(
             f"sentence {probs.sentence_id!r}: uncovered modifiers (no head candidates) "
             f"at positions {uncovered}"
-        )
-    half = (probs.n + 1) // 2  # the span length with the most candidates
-    size = 2 * half * (probs.n + 1 - half) * k * k
-    if size > MAX_CANDIDATES:
-        raise DecodingError(
-            f"sentence {probs.sentence_id!r}: n={probs.n}, K={k} needs {size} chart "
-            f"candidates for one span length, over the limit of {MAX_CANDIDATES}"
         )
     trees = _goal_trees(_build_chart(probs, k), probs)
     trees.sort(key=lambda te: (-te[0].log_score, te[1]))

@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     DependencyForest,
+    LabelLookupError,
     LabelVocab,
     NONE_RELATION,
     RelationInstance,
@@ -204,42 +205,34 @@ def _encode_instances(
             raise ValueError(f"structure {structure!r} requires forests")
         check_alignment(instances, forests)
     encoded = []
-    for idx, inst in enumerate(instances):
-        try:
+    try:
+        for idx, inst in enumerate(instances):
             rel_idx = vocab.relation_index(inst.relation)
-        except KeyError as exc:
-            raise VocabMismatchError(str(exc)) from exc
-        graph = None
-        if use_graph:
-            try:
-                graph = build_gnn_graph(forests[idx], vocab)
-            except KeyError as exc:
-                raise VocabMismatchError(str(exc)) from exc
-        tags = None
-        if need_tags:
-            if inst.ne_tags is None:
-                raise ValueError(
-                    f"instance {inst.sentence.id!r} has no NE tags but the NER loss is on"
-                )
-            if len(inst.ne_tags) != inst.sentence.n:
-                raise ValueError(
-                    f"instance {inst.sentence.id!r} has {len(inst.ne_tags)} NE tags "
-                    f"for {inst.sentence.n} tokens"
-                )
-            try:
+            graph = build_gnn_graph(forests[idx], vocab) if use_graph else None
+            tags = None
+            if need_tags:
+                if inst.ne_tags is None:
+                    raise ValueError(
+                        f"instance {inst.sentence.id!r} has no NE tags but the NER loss is on"
+                    )
+                if len(inst.ne_tags) != inst.sentence.n:
+                    raise ValueError(
+                        f"instance {inst.sentence.id!r} has {len(inst.ne_tags)} NE tags "
+                        f"for {inst.sentence.n} tokens"
+                    )
                 tags = tuple(vocab.tag_index(t) for t in inst.ne_tags)
-            except KeyError as exc:
-                raise VocabMismatchError(str(exc)) from exc
-        encoded.append(
-            _Encoded(
-                token_ids=token_ids_for(inst.sentence, word_index),
-                span1=inst.mention1,
-                span2=inst.mention2,
-                graph=graph,
-                relation_index=rel_idx,
-                tag_indices=tags,
+            encoded.append(
+                _Encoded(
+                    token_ids=token_ids_for(inst.sentence, word_index),
+                    span1=inst.mention1,
+                    span2=inst.mention2,
+                    graph=graph,
+                    relation_index=rel_idx,
+                    tag_indices=tags,
+                )
             )
-        )
+    except LabelLookupError as exc:
+        raise VocabMismatchError(str(exc)) from exc
     return encoded
 
 
@@ -544,7 +537,11 @@ def _gradcheck_fixture():
     return vocab, instance, tree, forest
 
 
-def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]:
+# The parameter offset of ``gradient_check``'s central differences.
+GRADIENT_CHECK_STEP = 1e-5
+
+
+def gradient_check(seed: int = 0) -> list[tuple[str, float]]:
     """Compare analytic gradients against central finite differences.
 
     Runs every combination of structure mode, message weighting, and NER head
@@ -553,7 +550,7 @@ def gradient_check(seed: int = 0, step: float = 1e-5) -> list[tuple[str, float]]
     finite-difference noise on near-zero gradients is judged absolutely.
     """
     vocab, instance, tree, forest = _gradcheck_fixture()
-    return _gradient_check_chunk(vocab, [instance], [tree], [forest], seed, step)
+    return _gradient_check_chunk(vocab, [instance], [tree], [forest], seed)
 
 
 def _gradient_check_chunk(
@@ -562,7 +559,6 @@ def _gradient_check_chunk(
     trees: Sequence[DependencyForest],
     forests: Sequence[DependencyForest],
     seed: int,
-    step: float,
 ) -> list[tuple[str, float]]:
     """``gradient_check`` over one chunk made of ``instances``, whose graphs
     are ``trees`` or ``forests`` by structure."""
@@ -586,12 +582,12 @@ def _gradient_check_chunk(
         _chunk_loss(params, config, chunk, use_ner, grads, train=False, rng=None)
         worst = 0.0
         for i, orig in enumerate(params.flat.tolist()):
-            params.flat[i] = orig + step
+            params.flat[i] = orig + GRADIENT_CHECK_STEP
             up = loss_value()
-            params.flat[i] = orig - step
+            params.flat[i] = orig - GRADIENT_CHECK_STEP
             down = loss_value()
             params.flat[i] = orig
-            numeric = (up - down) / (2.0 * step)
+            numeric = (up - down) / (2.0 * GRADIENT_CHECK_STEP)
             analytic = grads.flat[i]
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4)
             worst = max(worst, err)

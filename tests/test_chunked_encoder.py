@@ -310,7 +310,6 @@ def test_padded_chunk_finite_differences():
         [tree for _, tree, _ in made],
         [forest for _, _, forest in made],
         seed=0,
-        step=1e-5,
     )
     assert len(results) == 12
     offenders = [(name, err) for name, err in results if not err <= 1e-4]

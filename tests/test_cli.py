@@ -159,7 +159,7 @@ class TestForestCommand:
                      "--arcs", str(synth_dir / "arcs.jsonl"),
                      "--out", str(out), "--algo", "kbest", "--k", "5"])
         assert code == 1
-        assert re.search(r"^error: sentence '[^']+': n=\d+, K=5 needs \d+ chart candidates",
+        assert re.search(r"^error: sentence '[^']+': n=\d+, K=5 needs \d+ chart float64s",
                          capsys.readouterr().err, re.MULTILINE)
         assert not out.exists()
 
@@ -321,6 +321,22 @@ class TestTrainEvalPredict:
         assert main(["eval", "--checkpoint", str(ckpt),
                      "--corpus", str(synth_dir / "corpus.jsonl"), "--forests", str(forests)]) == 0
         assert "skipped 0 records" in capsys.readouterr().out.splitlines()
+
+    def test_predict_writes_a_non_ascii_id_as_raw_utf8(self, synth_dir, tmp_path):
+        forests = _make_forests(synth_dir, extra=("--algo", "edgewise", "--gamma", "0.2"))
+        ckpt = tmp_path / "model.json"
+        assert self._train(synth_dir, forests, ckpt, tmp_path / "m.tsv", structure="textonly") == 0
+        first, *rest = (synth_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        renamed = {**json.loads(first), "id": "sätz-ü"}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            "\n".join([json.dumps(renamed, ensure_ascii=False), *rest]) + "\n", encoding="utf-8"
+        )
+        pred_path = tmp_path / "pred.jsonl"
+        assert main(["predict", "--checkpoint", str(ckpt), "--corpus", str(corpus),
+                     "--out", str(pred_path)]) == 0
+        first_row = pred_path.read_bytes().split(b"\n")[0]
+        assert first_row.startswith('{"id":"sätz-ü","prob":'.encode("utf-8"))
 
 
     def test_mistyped_checkpoint_is_an_error_line(self, synth_dir, tmp_path, capsys):

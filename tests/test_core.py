@@ -52,11 +52,11 @@ class TestLabelVocab:
             LabelVocab(**kwargs)
 
     def test_unknown_lookups_raise(self, vocab5):
-        with pytest.raises(LabelLookupError):
+        with pytest.raises(LabelLookupError, match="unknown dependency label 'punct'"):
             vocab5.dep_index("punct")
-        with pytest.raises(LabelLookupError):
+        with pytest.raises(LabelLookupError, match="unknown relation 'R-C'"):
             vocab5.relation_index("R-C")
-        with pytest.raises(LabelLookupError):
+        with pytest.raises(LabelLookupError, match="unknown NE tag 'B-DISEASE'"):
             vocab5.tag_index("B-DISEASE")
 
 
@@ -233,11 +233,6 @@ class TestCheckTree:
         )
         problems = check_tree(tree)
         assert len(problems) == 1 and "do not cover" in problems[0]
-
-    def test_tampered_score_detected(self):
-        good = self._tree()
-        bad = DependencyTree(good.edges, good.log_score + 1e-6)
-        assert any("log_score" in p for p in check_tree(bad))
 
     def test_cycle_detected(self):
         tree = DependencyTree.from_edges(

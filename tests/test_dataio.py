@@ -4,6 +4,7 @@ import json
 import os
 import re
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from forestrel.dataio import (
     load_vocab,
     save_arc_probs,
     save_corpus,
+    save_predictions,
     save_trees,
     save_vocab,
     synth_generate,
@@ -60,6 +62,7 @@ class TestVocabFile:
              "field 'dep_labels' must be a list, got str"),
             ('{"dep_labels": ["amod"], "relations": ["None"], "ne_tags": [null]}',
              "item 1 field 'ne_tags' must be a string, got NoneType"),
+            ('["amod"]', "vocabulary must be a JSON object, got list"),
         ],
     )
     def test_mistyped_list_named(self, tmp_path, payload, message):
@@ -106,11 +109,13 @@ class TestCorpusFile:
         assert ":2:" in result.skipped[0]
         assert "unknown relation" in result.skipped[0]
 
-    def test_fail_fast_raises_immediately(self, vocab5, tmp_path):
+    def test_broken_json_line_skipped_with_line_number(self, vocab5, tmp_path):
         path = tmp_path / "corpus.jsonl"
         self._write_lines(path, ["{broken"])
-        with pytest.raises(DataFormatError, match=":1:"):
-            load_corpus(path, vocab5, fail_fast=True)
+        result = load_corpus(path, vocab5)
+        assert result.instances == ()
+        assert len(result.skipped) == 1
+        assert result.skipped[0].startswith(f"{path}:1: ")
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -129,6 +134,36 @@ class TestCorpusFile:
             "relation": "R-A",
         }
         bad = dict(good, id="s1", mention1=dict(good["mention1"], **{field: value}))
+        path = tmp_path / "corpus.jsonl"
+        _write_rows(path, [good, bad])
+        result = load_corpus(path, vocab5)
+        assert len(result.instances) == 1
+        assert result.skipped == (f"{path}:2: {message}",)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"tokens": "abc"}, "field 'tokens' must be a list, got str"),
+            ({"tokens": [1, 2.5, None]}, "item 1 field 'tokens' must be a string, got int"),
+            ({"ne_tags": "OO"}, "field 'ne_tags' must be a list, got str"),
+            ({"ne_tags": ["O", None]}, "item 2 field 'ne_tags' must be a string, got NoneType"),
+            ({"id": 5}, "field 'id' must be a string, got int"),
+            ({"relation": 5}, "field 'relation' must be a string, got int"),
+            ({"mention1": [1, 2]}, "field 'mention1' must be a JSON object, got list"),
+            ({"mention2": None}, "field 'mention2' must be a JSON object, got NoneType"),
+            (["s1", ["a", "b"]], "record must be a JSON object, got list"),
+        ],
+    )
+    def test_retyped_field_skipped_with_line(self, vocab5, tmp_path, change, message):
+        good = {
+            "id": "s0",
+            "tokens": ["a", "b"],
+            "mention1": {"start": 1, "end": 2},
+            "mention2": {"start": 2, "end": 3},
+            "relation": "R-A",
+            "ne_tags": ["O", "O"],
+        }
+        bad = change if isinstance(change, list) else {**good, "id": "s1", **change}
         path = tmp_path / "corpus.jsonl"
         _write_rows(path, [good, bad])
         result = load_corpus(path, vocab5)
@@ -226,6 +261,54 @@ class TestArcFile:
         )
         with pytest.raises(DataFormatError, match="punct"):
             load_arc_probs(path, vocab5)
+
+
+@pytest.mark.parametrize(
+    "load, key, rows",
+    [
+        (load_arc_probs, "arcs", [[1, 0, "amod", 1]]),
+        (load_forests, "edges", [[0, "amod", 1, 1]]),
+        (load_trees, "edges", [[0, "amod", 1, 1]]),
+    ],
+)
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": 7, "n": 1}, "field 'id' must be a string, got int"),
+        ({"id": None, "n": 2.5}, "field 'id' must be a string, got NoneType"),
+        (["s1", 1], "record must be a JSON object, got list"),
+    ],
+)
+def test_retyped_arc_record_named_with_line(vocab5, tmp_path, load, key, rows, record, message):
+    path = tmp_path / "records.jsonl"
+    bad = record if isinstance(record, list) else {**record, key: rows}
+    _write_rows(path, [{"id": "s0", "n": 1, key: rows}, bad])
+    with pytest.raises(DataFormatError) as info:
+        load(path, vocab5)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+class TestPredictionFile:
+    ROWS = [("s0", "R-A", 0.75), ("s1", "None", 0.1 + 0.2)]
+
+    def test_ascii_ids_keep_the_command_line_bytes(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        save_predictions(self.ROWS, path)
+        expected = "".join(
+            json.dumps({"id": sid, "relation": rel, "prob": p}, sort_keys=True, separators=(",", ":"))
+            + "\n"
+            for sid, rel, p in self.ROWS
+        )
+        assert path.read_bytes() == expected.encode("ascii")
+
+    def test_non_ascii_id_is_raw_utf8_as_in_the_corpus(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        save_predictions([("sätz-ü", "R-A", 0.5)], path)
+        assert path.read_bytes() == '{"id":"sätz-ü","prob":0.5,"relation":"R-A"}\n'.encode("utf-8")
+        inst = synth_generate(SynthSpec(n_sentences=1, seed=0)).instances[0]
+        renamed = replace(inst, sentence=replace(inst.sentence, id="sätz-ü"))
+        save_corpus([renamed], tmp_path / "corpus.jsonl")
+        assert '"id":"sätz-ü"'.encode("utf-8") in (tmp_path / "corpus.jsonl").read_bytes()
 
 
 class TestForestAndTreeFiles:
@@ -408,16 +491,11 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, min_len=2)
         with pytest.raises(ValueError):
-            SynthSpec(n_sentences=1, n_dep_labels=2, relation_rows=2)
+            SynthSpec(n_sentences=1, n_dep_labels=2)
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, temperature=0.0)
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, prob_floor=1.0)
-
-    @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0)])
-    def test_relation_grid_at_least_1x1(self, rows, cols):
-        with pytest.raises(ValueError, match="at least 1x1"):
-            SynthSpec(n_sentences=1, relation_rows=rows, relation_cols=cols)
 
 
 class TestSynthGenerator:
@@ -445,11 +523,11 @@ class TestSynthGenerator:
             b = inst.mention2[0]
             label_a = vocab.dep_index(gold.edges[a - 1].label)
             label_b = vocab.dep_index(gold.edges[b - 1].label)
-            row = label_a % (spec.relation_rows + 1)
-            if row == spec.relation_rows:
+            row = label_a % (dataio.RELATION_ROWS + 1)
+            if row == dataio.RELATION_ROWS:
                 expected = "None"
             else:
-                expected = f"R{row}{label_b % spec.relation_cols}"
+                expected = f"R{row}{label_b % dataio.RELATION_COLS}"
             assert inst.relation == expected
 
     def test_mentions_are_marked_and_structurally_sound(self):

@@ -426,29 +426,47 @@ class TestSelection:
 
 
 class TestCandidateLimit:
-    def test_limit_is_the_widest_span_lengths_candidate_count(
+    def test_limit_counts_the_chart_and_the_widest_candidate_array(
         self, vocab5, arc_grid_factory, monkeypatch
     ):
         probs = arc_grid_factory(np.random.default_rng(3), vocab5, 7, sentence_id="long")
         sizes = []
         fill = _Chart.fill
         monkeypatch.setattr(
-            _Chart, "fill", lambda chart, *args: sizes.append(args[-1].size) or fill(chart, *args)
+            _Chart,
+            "fill",
+            lambda chart, *args: sizes.append(
+                (chart.score.size + chart.by_end.size, args[-1].size)
+            ) or fill(chart, *args),
         )
-        # n=7, K=3: span length 4 scores 2 * 4 * 4 * 3**2 = 288 candidates
-        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 288)
+        # n=7, K=3: the two score layouts hold 2 * 4 * 8**2 * 3 = 1,536 floats,
+        # span length 4 scores 2 * 4 * 4 * 3**2 = 288 candidates, and fill
+        # copies them once: 1,536 + 2 * 288 = 2,112
+        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 2112)
         assert decode_kbest(probs, 3)
-        assert max(sizes) == 288
-        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 287)
-        with pytest.raises(DecodingError, match=r"'long': n=7, K=3 needs 288 chart candidates"):
+        assert max(chart + 2 * cands for chart, cands in sizes) == 2112
+        monkeypatch.setattr(forestmod, "MAX_CANDIDATES", 2111)
+        with pytest.raises(DecodingError, match=r"'long': n=7, K=3 needs 2112 chart float64s"):
             decode_kbest(probs, 3)
 
     def test_tested_and_benchmarked_sizes_stay_far_below_it(self, vocab5, arc_grid_factory):
         # The tests and the benchmark decode at most n=40 with K=20.
-        assert 10 * (2 * 20 * 21 * 20**2) < forestmod.MAX_CANDIDATES
+        assert 10 * (2 * 4 * 41**2 * 20 + 2 * 2 * 20 * 21 * 20**2) < forestmod.MAX_CANDIDATES
         probs = arc_grid_factory(np.random.default_rng(4), vocab5, 40, sentence_id="wide")
-        with pytest.raises(DecodingError, match=r"'wide': n=40, K=200 needs 33600000 chart"):
+        with pytest.raises(DecodingError, match=r"'wide': n=40, K=200 needs 69889600 chart"):
             decode_kbest(probs, 200)
+
+    def test_long_sentence_refused_before_coverage_and_chart(self, vocab5, monkeypatch):
+        # n=1400, K=1 scores at most 2 * 700 * 701 candidates per span length,
+        # far under the limit, but its two score layouts alone hold 15.7M floats.
+        probs = ArcProbabilities("huge", 1400, vocab5, [(1, 0, "amod", 0.5)])
+
+        def no_chart(*args):
+            raise AssertionError("the chart was built")
+
+        monkeypatch.setattr(forestmod, "_build_chart", no_chart)
+        with pytest.raises(DecodingError, match=r"'huge': n=1400, K=1 needs 17665208 chart"):
+            decode_kbest(probs, 1)
 
 
 class TestFullEnumerationReference:
