@@ -7,14 +7,19 @@ here are immutable after construction and safe to share between workers.
 Arc probabilities and dependency forests share one form, four read-only numpy
 arrays in canonical order, and one array check (``_ArcSet``); everything
 downstream reads those arrays; one modifier's entries are the run that
-``np.searchsorted`` finds in ``modifier``.
+``np.searchsorted`` finds in ``modifier``.  Labels reach the check as
+vocabulary indices: rows from callers and files are split into columns and
+their label names mapped to indices in one pass (an unknown name to -1),
+and the synthetic generator passes index arrays through
+``_ArcSet._from_arrays`` without building rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,47 +195,82 @@ class _ArcSet:
         vocab: LabelVocab,
         entries: Iterable[tuple[int, int, str, float]],
     ) -> None:
-        self._check(sentence_id, n, vocab, _check_types(list(entries), _ARC_FIELDS, "arc"))
+        self._check_named(sentence_id, n, vocab, _check_types(list(entries), _ARC_FIELDS, "arc"))
 
     @classmethod
     def _from_columns(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
         """Build from ``(modifier, head, label, prob)`` columns that
         ``_check_types`` returned (a file reader's)."""
         arcs = cls.__new__(cls)
-        arcs._check(sentence_id, n, vocab, columns)
+        arcs._check_named(sentence_id, n, vocab, columns)
         return arcs
 
-    def _check(self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence) -> None:
-        """Check every entry rule on the columns and keep them in canonical order."""
+    @classmethod
+    def _from_arrays(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
+        """Build from ``(modifier, head, label, prob)`` arrays whose labels are
+        vocabulary indices (the synthetic generator's).  The rules and
+        messages are the row constructor's; an index outside ``0..L-1`` is
+        refused as well."""
+        modifier, head, label, prob = columns
+
+        def entry(i: int) -> tuple:
+            li = int(label[i])
+            name = vocab.dep_labels[li] if 0 <= li < vocab.num_dep_labels else li
+            return int(modifier[i]), int(head[i]), name, float(prob[i])
+
+        arcs = cls.__new__(cls)
+        arcs._check(sentence_id, n, vocab, columns, entry)
+        return arcs
+
+    def _check_named(self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence) -> None:
+        """``_check`` on columns whose labels are names; an unknown name maps to -1."""
+        modifier, head, names, prob = columns
+        index = vocab._dep_index  # type: ignore[attr-defined]
+        label = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
+
+        def entry(i: int) -> tuple:
+            return tuple(column[i] for column in columns)
+
+        self._check(sentence_id, n, vocab, (modifier, head, label, prob), entry)
+
+    def _check(
+        self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence, entry: Callable
+    ) -> None:
+        """Check every entry rule on the ``(modifier, head, label index, prob)``
+        columns and keep them in canonical order; ``entry(i)`` gives entry
+        ``i`` as its caller passed it, for the error message."""
         if n < 1:
             raise ValueError(f"sentence length must be >= 1, got {n}")
-        modifier, head, prob = (np.asarray(columns[i]) for i in (0, 1, 3))
-        index = vocab._dep_index  # type: ignore[attr-defined]
-        label = np.array([index.get(name, -1) for name in columns[2]], dtype=np.int64)
+        modifier, head, label, prob = map(np.asarray, columns)
+        n_labels = vocab.num_dep_labels
         # One mask flags every bad entry.  The first one in input order is
         # then checked test by test, so its error is the one a scalar pass
         # over the entries would raise.  A duplicate is every later entry of
         # a key under a stable sort; a bad entry gets a key of its own.
         bad = ~(
             (1 <= modifier) & (modifier <= n) & (0 <= head) & (head <= n)
-            & (head != modifier) & (label >= 0) & (0.0 < prob) & (prob <= 1.0)
+            & (head != modifier) & (0 <= label) & (label < n_labels)
+            & (0.0 < prob) & (prob <= 1.0)
         )
         modifier = np.where(bad, -1 - np.arange(len(label)), modifier).astype(np.int64)
         head = np.where(bad, 0, head).astype(np.int64)
-        # head is in 0..n and label + 1 in 0..L, so one int64 orders entries
+        label = np.where(bad, 0, label).astype(np.int64)
+        # head is in 0..n and label in 0..L-1, so one int64 orders entries
         # by (modifier, head, label) and is equal exactly where all three are.
-        key = (modifier * (n + 1) + head) * (vocab.num_dep_labels + 1) + label + 1
+        key = (modifier * (n + 1) + head) * n_labels + label
         order = np.argsort(key, kind="stable")
         bad[order[1:]] |= np.diff(key[order]) == 0
         if bad.any():
             first = int(np.argmax(bad))
-            m, h, name, p = (column[first] for column in columns)
+            m, h, name, p = entry(first)
             if not 1 <= m <= n:
                 raise ValueError(f"modifier {m} out of range 1..{n}")
             if not 0 <= h <= n:
                 raise ValueError(f"head {h} out of range 0..{n}")
             if h == m:
                 raise ValueError(f"self-arc at position {m}")
+            if type(name) is not str:
+                raise ValueError(f"label index {name} out of range 0..{n_labels - 1}")
             vocab.dep_index(name)  # raises LabelLookupError for unknown labels
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"probability {p} for {(m, h, name)} not in (0, 1]")
@@ -299,7 +339,8 @@ class ArcProbabilities(_ArcSet):
 
     def uncovered_modifiers(self) -> list[int]:
         """Positions with no stored candidates at all."""
-        return np.setdiff1d(np.arange(1, self.n + 1), self.modifier).tolist()
+        counts = np.bincount(self.modifier, minlength=self.n + 1)
+        return (np.flatnonzero(counts[1:] == 0) + 1).tolist()
 
 
 class DependencyForest(_ArcSet):

@@ -25,7 +25,13 @@ ids, relations and labels strings, tokens and NE tags lists of strings, and
 probabilities numbers; the error names the file, the line and the field.  The
 type check splits a record's rows into columns, and arc and forest columns go
 as decoded to the one check that ``ArcProbabilities`` and ``DependencyForest``
-share, so a duplicate (modifier, head, label) row fails in either file.
+share, which maps label names to vocabulary indices; a duplicate
+(modifier, head, label) row fails in either file.
+
+The synthetic generator scores each sentence as whole arrays: one Gumbel
+draw of shape (n, n·L), a softmax per row, and one ``np.nonzero`` for the
+entries above the floor, whose modifier, head and label-index arrays go to
+the same check without building rows.
 
 Every JSONL file is written by one writer through ``atomic_open``: a file is
 either the old one or the complete new one, never a truncated mix.
@@ -354,6 +360,11 @@ def synth_vocab(spec: SynthSpec) -> LabelVocab:
     return LabelVocab(dep_labels, relations, ne_tags)
 
 
+_FILLER = [f"w{i}" for i in range(20)]
+_CHEM = [f"chem{i}" for i in range(8)]
+_GENE = [f"gene{i}" for i in range(8)]
+
+
 def _sample_projective_parents(rng: np.random.Generator, n: int) -> list[int]:
     """Random projective head vector over positions 1..n rooted at 0.
 
@@ -408,6 +419,35 @@ def _mention_pair(
     return pairs[int(rng.integers(0, len(pairs)))]
 
 
+def _synth_instance(
+    rng: np.random.Generator, sid: str, spec: SynthSpec
+) -> tuple[RelationInstance, list[int], list[int]]:
+    """One sentence's instance, gold head vector and gold label indices."""
+    while True:
+        n = int(rng.integers(spec.min_len, spec.max_len + 1))
+        parents = _sample_projective_parents(rng, n)
+        pair = _mention_pair(rng, parents)
+        if pair is not None:
+            break
+    labels = [int(rng.integers(0, spec.n_dep_labels)) for _ in range(n)]
+    a, b = pair
+    row = labels[a - 1] % (RELATION_ROWS + 1)
+    if row == RELATION_ROWS:
+        relation = NONE_RELATION
+    else:
+        col = labels[b - 1] % RELATION_COLS
+        relation = f"R{row}{col}"
+    tokens = [_FILLER[int(rng.integers(0, len(_FILLER)))] for _ in range(n)]
+    tokens[a - 1] = _CHEM[int(rng.integers(0, len(_CHEM)))]
+    tokens[b - 1] = _GENE[int(rng.integers(0, len(_GENE)))]
+    tags = ["O"] * n
+    tags[a - 1] = "B-CHEM"
+    tags[b - 1] = "B-GENE"
+    sentence = Sentence(sid, tuple(tokens))
+    instance = RelationInstance(sentence, (a, a + 1), (b, b + 1), relation, tuple(tags))
+    return instance, parents, labels
+
+
 def synth_generate(spec: SynthSpec) -> SynthData:
     """Generate a corpus, arc probabilities, and gold trees from one seed.
 
@@ -416,69 +456,50 @@ def synth_generate(spec: SynthSpec) -> SynthData:
     one softmax per modifier over all (head, label) candidates jointly; entries
     below the floor are dropped.  Tokens mark the mention types but carry no
     information about the relation, which is decided by gold arc labels alone.
+
+    A sentence is scored as whole arrays.  Row ``m - 1`` holds modifier
+    ``m``'s ``n·L`` candidates ``(h, l)``, ``h != m``, in (head, label) order:
+    cell ``(h - (h > m))·L + l``.  One ``(n, n·L)`` Gumbel draw is the stream
+    of ``n`` per-modifier draws, and the row-wise max, ``exp`` and sum give
+    each row the bits that the same steps give that row alone; the tests pin
+    both against a per-cell loop.
     """
     vocab = synth_vocab(spec)
     rng = np.random.default_rng(spec.seed)
-    filler = [f"w{i}" for i in range(20)]
-    chem = [f"chem{i}" for i in range(8)]
-    gene = [f"gene{i}" for i in range(8)]
     n_labels = spec.n_dep_labels
     instances: list[RelationInstance] = []
     arc_probs: dict[str, ArcProbabilities] = {}
     gold_trees: dict[str, DependencyTree] = {}
     for index in range(spec.n_sentences):
         sid = f"s{index:05d}"
-        while True:
-            n = int(rng.integers(spec.min_len, spec.max_len + 1))
-            parents = _sample_projective_parents(rng, n)
-            pair = _mention_pair(rng, parents)
-            if pair is not None:
-                break
-        labels = [int(rng.integers(0, n_labels)) for _ in range(n)]
-        a, b = pair
-        row = labels[a - 1] % (RELATION_ROWS + 1)
-        if row == RELATION_ROWS:
-            relation = NONE_RELATION
-        else:
-            col = labels[b - 1] % RELATION_COLS
-            relation = f"R{row}{col}"
-        tokens = [filler[int(rng.integers(0, len(filler)))] for _ in range(n)]
-        tokens[a - 1] = chem[int(rng.integers(0, len(chem)))]
-        tokens[b - 1] = gene[int(rng.integers(0, len(gene)))]
-        tags = ["O"] * n
-        tags[a - 1] = "B-CHEM"
-        tags[b - 1] = "B-GENE"
-        sentence = Sentence(sid, tuple(tokens))
-        instances.append(
-            RelationInstance(sentence, (a, a + 1), (b, b + 1), relation, tuple(tags))
-        )
-
-        entries: list[tuple[int, int, str, float]] = []
-        gold_edge_prob: dict[int, float] = {}
-        for m in range(1, n + 1):
-            cells = [(h, li) for h in range(n + 1) if h != m for li in range(n_labels)]
-            scores = rng.gumbel(size=len(cells))
-            for ci, (h, li) in enumerate(cells):
-                if h == parents[m - 1] and li == labels[m - 1]:
-                    scores[ci] += 1.0 / spec.temperature
-            scores -= scores.max()
-            probs = np.exp(scores)
-            probs /= probs.sum()
-            for ci, (h, li) in enumerate(cells):
-                p = float(probs[ci])
-                if h == parents[m - 1] and li == labels[m - 1]:
-                    if p <= spec.prob_floor:
-                        raise RuntimeError(
-                            f"gold arc for {sid!r} position {m} fell below the storage floor; "
-                            "lower the temperature or the floor"
-                        )
-                    gold_edge_prob[m] = p
-                if p > spec.prob_floor:
-                    entries.append((m, h, vocab.dep_labels[li], p))
-        arc_probs[sid] = ArcProbabilities(sid, n, vocab, entries)
+        instance, parents, labels = _synth_instance(rng, sid, spec)
+        instances.append(instance)
+        n = len(parents)
+        rows = np.arange(n)
+        gold_head = np.array(parents)
+        gold_cell = (gold_head - (gold_head > rows + 1)) * n_labels + np.array(labels)
+        scores = rng.gumbel(size=(n, n * n_labels))
+        scores[rows, gold_cell] += 1.0 / spec.temperature
+        scores -= scores.max(axis=1, keepdims=True)
+        probs = np.exp(scores)
+        probs /= probs.sum(axis=1, keepdims=True)
+        gold = probs[rows, gold_cell]
+        low = np.flatnonzero(gold <= spec.prob_floor)
+        if low.size:
+            raise RuntimeError(
+                f"gold arc for {sid!r} position {low[0] + 1} fell below the storage floor; "
+                "lower the temperature or the floor"
+            )
+        # Row-major order is (modifier, head, label) order: canonical already.
+        row, cell = np.nonzero(probs > spec.prob_floor)
+        modifier = row + 1
+        head = cell // n_labels
+        head += head >= modifier
+        columns = (modifier, head, cell % n_labels, probs[row, cell])
+        arc_probs[sid] = ArcProbabilities._from_arrays(sid, n, vocab, columns)
         gold_trees[sid] = DependencyTree.from_edges(
-            DependencyEdge(parents[m - 1], vocab.dep_labels[labels[m - 1]], m, gold_edge_prob[m])
-            for m in range(1, n + 1)
+            DependencyEdge(h, vocab.dep_labels[li], m, p)
+            for m, (h, li, p) in enumerate(zip(parents, labels, gold.tolist()), start=1)
         )
     return SynthData(vocab, tuple(instances), arc_probs, gold_trees)
 

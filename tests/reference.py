@@ -1,4 +1,6 @@
-"""Exhaustive reference decoding, the oracle the chart decoder is tested against.
+"""Loop-by-loop references: exhaustive K-best decoding, the oracle the chart
+decoder is tested against, and the per-cell synthetic arc scorer, the oracle
+the array-scored generator is tested against.
 
 ``brute_force_kbest`` enumerates head vectors instead of filling a chart, and
 reads the arc probabilities' four canonical arrays through ``heads`` and
@@ -13,6 +15,12 @@ exact arithmetic can therefore round differently in the two, and on such
 grids the chart and this reference may return different, equally scored
 K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference for the
 chart decoder.
+
+``synth_generate_per_cell`` scores one modifier at a time and one
+(head, label) cell at a time, and builds each sentence's arc set through
+the row constructor from label names; ``synth_generate`` scores a sentence
+as whole arrays and hands label indices to the array constructor.  They
+share only the sentence sampler, so their files must match byte for byte.
 """
 
 import itertools
@@ -20,6 +28,7 @@ import itertools
 import numpy as np
 
 from forestrel.core import ArcProbabilities, DependencyEdge, DependencyTree, is_well_formed_tree
+from forestrel.dataio import SynthData, SynthSpec, _synth_instance, synth_vocab
 from forestrel.forest import DecodingError, decode_kbest
 
 BRUTE_FORCE_MAX_N = 8
@@ -95,3 +104,47 @@ def brute_force_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
         scored.append((DependencyTree.from_edges(edges), tuple(sorted(key))))
     scored.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in scored[:k]]
+
+
+def synth_generate_per_cell(spec: SynthSpec) -> SynthData:
+    """``synth_generate`` with one Gumbel draw per modifier and a Python loop
+    over its candidate cells."""
+    vocab = synth_vocab(spec)
+    rng = np.random.default_rng(spec.seed)
+    n_labels = spec.n_dep_labels
+    instances = []
+    arc_probs = {}
+    gold_trees = {}
+    for index in range(spec.n_sentences):
+        sid = f"s{index:05d}"
+        instance, parents, labels = _synth_instance(rng, sid, spec)
+        instances.append(instance)
+        n = len(parents)
+        entries = []
+        gold_edge_prob = {}
+        for m in range(1, n + 1):
+            cells = [(h, li) for h in range(n + 1) if h != m for li in range(n_labels)]
+            scores = rng.gumbel(size=len(cells))
+            for ci, (h, li) in enumerate(cells):
+                if h == parents[m - 1] and li == labels[m - 1]:
+                    scores[ci] += 1.0 / spec.temperature
+            scores -= scores.max()
+            probs = np.exp(scores)
+            probs /= probs.sum()
+            for ci, (h, li) in enumerate(cells):
+                p = float(probs[ci])
+                if h == parents[m - 1] and li == labels[m - 1]:
+                    if p <= spec.prob_floor:
+                        raise RuntimeError(
+                            f"gold arc for {sid!r} position {m} fell below the storage floor; "
+                            "lower the temperature or the floor"
+                        )
+                    gold_edge_prob[m] = p
+                if p > spec.prob_floor:
+                    entries.append((m, h, vocab.dep_labels[li], p))
+        arc_probs[sid] = ArcProbabilities(sid, n, vocab, entries)
+        gold_trees[sid] = DependencyTree.from_edges(
+            DependencyEdge(parents[m - 1], vocab.dep_labels[labels[m - 1]], m, gold_edge_prob[m])
+            for m in range(1, n + 1)
+        )
+    return SynthData(vocab, tuple(instances), arc_probs, gold_trees)

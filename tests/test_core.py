@@ -143,6 +143,49 @@ class TestArcProbabilities:
         assert a != c
 
 
+# The known-label bad-entry cases of TestArcProbabilities, as rows.
+BAD_ENTRY_CASES = [
+    [(1, 0, "amod", 0.2), (1, 0, "amod", 0.3)],
+    [(1, 0, "amod", 0.7), (1, 2, "obj", 0.4)],
+    [(0, 1, "amod", 0.2)],
+    [(1, 3, "amod", 0.2)],
+    [(1, 1, "amod", 0.2)],
+    [(1, 0, "amod", 0.0)],
+    [(1, 0, "amod", 1.2)],
+    [(1, 0, "amod", 0.2), (2, 0, "amod", 1.5), (0, 1, "amod", 0.2)],
+    [(1, 0, "amod", 0.2), (2, 0, "obj", 0.1), (1, 0, "amod", 0.3), (3, 0, "amod", 0.1)],
+    [(2, 0, "amod", 0.7), (2, 1, "obj", 0.4), (1, 0, "amod", 0.8), (1, 2, "obj", 0.5)],
+]
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the type and message of its ValueError."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayConstructor:
+    @pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest])
+    @pytest.mark.parametrize("entries", BAD_ENTRY_CASES)
+    def test_refuses_what_the_row_constructor_refuses(self, cls, entries, vocab5):
+        modifier, head, names, prob = map(np.array, zip(*entries))
+        label = np.array([vocab5.dep_index(name) for name in names])
+        by_rows = _outcome(lambda: cls("s", 2, vocab5, entries))
+        columns = (modifier, head, label, prob)
+        by_arrays = _outcome(lambda: cls._from_arrays("s", 2, vocab5, columns))
+        assert by_arrays == by_rows
+        # only the stored-mass cases build, and only as a forest
+        assert cls is DependencyForest or isinstance(by_rows, tuple)
+
+    @pytest.mark.parametrize("index", [-1, 5, 2**40])
+    def test_label_index_outside_the_vocabulary_refused(self, index, vocab5):
+        columns = (np.array([1, 2]), np.array([0, 1]), np.array([0, index]), np.full(2, 0.5))
+        with pytest.raises(ValueError, match=rf"^label index {index} out of range 0\.\.4$"):
+            ArcProbabilities._from_arrays("s", 2, vocab5, columns)
+
+
 class TestTreeScore:
     def test_log_score_is_order_independent_bitwise(self):
         edges = [

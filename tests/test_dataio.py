@@ -31,7 +31,7 @@ from forestrel.dataio import (
     write_forests,
 )
 from forestrel.forest import decode_kbest, edgewise_forest, merge_trees, oracle_las
-from reference import decode_1best
+from reference import decode_1best, synth_generate_per_cell
 
 
 class TestVocabFile:
@@ -570,6 +570,44 @@ class TestSynthGenerator:
     def test_gold_arc_below_floor_is_an_error(self):
         with pytest.raises(RuntimeError, match="storage floor"):
             synth_generate(SynthSpec(n_sentences=2, seed=18, temperature=50.0, prob_floor=0.5))
+
+    def test_files_match_the_per_cell_reference(self, tmp_path):
+        # 120 seeded specs: both length extremes, then lengths 3-40, 3-12
+        # labels, T in [0.05, 0.6] and floors in [1e-6, 1e-2].  21 of them fail on
+        # the floor, and those must fail with the same message.
+        rng = np.random.default_rng(2024)
+        specs = [
+            SynthSpec(n_sentences=3, min_len=3, max_len=3, n_dep_labels=3,
+                      temperature=0.05, prob_floor=1e-6, seed=1),
+            SynthSpec(n_sentences=1, min_len=40, max_len=40, n_dep_labels=12,
+                      temperature=0.6, prob_floor=1e-2, seed=2),
+        ]
+        while len(specs) < 120:
+            lo = int(rng.integers(3, 41))
+            specs.append(SynthSpec(
+                n_sentences=int(rng.integers(1, 4)),
+                min_len=lo,
+                max_len=int(rng.integers(lo, 41)),
+                n_dep_labels=int(rng.integers(3, 13)),
+                temperature=float(rng.uniform(0.05, 0.6)),
+                prob_floor=float(10 ** rng.uniform(-6, -2)),
+                seed=int(rng.integers(0, 2**31)),
+            ))
+        failed = 0
+        for i, spec in enumerate(specs):
+            try:
+                expected = synth_generate_per_cell(spec)
+            except RuntimeError as exc:
+                failed += 1
+                with pytest.raises(RuntimeError) as info:
+                    synth_generate(spec)
+                assert str(info.value) == str(exc), spec
+                continue
+            ref = synth_write(expected, tmp_path / f"ref{i}")
+            out = synth_write(synth_generate(spec), tmp_path / f"out{i}")
+            for name in ref:
+                assert out[name].read_bytes() == ref[name].read_bytes(), (name, spec)
+        assert 10 <= failed <= 60
 
     def test_vocab_layout(self):
         vocab = synth_vocab(SynthSpec(n_sentences=1))
