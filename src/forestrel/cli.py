@@ -334,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     _print_config(args)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError, training.OptimizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,6 +40,7 @@ either the old one or the complete new one, never a truncated mix.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -337,8 +338,8 @@ class SynthSpec:
             raise ValueError("need 3 <= min_len <= max_len")
         if self.n_dep_labels < RELATION_ROWS + 1:
             raise ValueError(f"need at least {RELATION_ROWS + 1} dependency labels")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number > 0, got {self.temperature}")
         if not 0.0 <= self.prob_floor < 1.0:
             raise ValueError("prob_floor must be in [0, 1)")
 

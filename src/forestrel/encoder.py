@@ -10,10 +10,11 @@ dependents (child state + label embedding) and from its heads (head state +
 reversed-label embedding), then applies an LSTM-style gated cell update.  When
 confidence weighting is on, each message is scaled by the arc's probability;
 those scalars are constants and receive no gradient.  ROOT-anchored arcs never
-enter the graph: ``build_gnn_graph`` masks them out of the forest's arc arrays
-and keeps the rest in the forest's canonical order.  The sums are products
-with a weighted head x dependent adjacency matrix and two label-count
-matrices, and their gradients are the transposed products.
+enter the graph: the graph is the forest's word-arc subset
+(``build_gnn_graph``), the same arc arrays in canonical order with labels
+indexed in the model's vocabulary, and message passing reads those arrays.
+The sums are products with a weighted head x dependent adjacency matrix and
+two label-count matrices, and their gradients are the transposed products.
 
 The encoder runs over chunks of consecutive instances, their words packed
 into N rows (at most ``training.CHUNK_WORDS`` unless one instance is longer);
@@ -198,50 +199,36 @@ def init_params(
     return params
 
 
-@dataclass(frozen=True)
-class EncoderGraph:
-    """The word-to-word arcs of a forest, prepared for message passing.
-
-    ``edges`` holds one ``(head, modifier, label index)`` row per arc not
-    anchored at ROOT, in the forest's canonical order, and ``probs`` the arc
-    probabilities in the same order.
-    """
-
-    n: int
-    edges: np.ndarray
-    probs: np.ndarray
-
-
-def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> EncoderGraph:
-    """Drop ROOT-anchored arcs and index their labels in ``vocab``."""
-    words = forest.head != 0
-    labels = forest.label[words]
-    if forest.vocab.dep_labels != vocab.dep_labels:  # the indices are the forest vocabulary's
-        names = np.take(forest.vocab.dep_labels, labels).tolist()
-        labels = np.array([vocab.dep_index(name) for name in names], dtype=np.int64)
-    edges = np.stack((forest.head[words], forest.modifier[words], labels), axis=1)
-    return EncoderGraph(forest.n, edges, forest.prob[words])
+def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> DependencyForest:
+    """The forest's word arcs (ROOT-anchored arcs dropped) in canonical order,
+    read under ``vocab`` when the forest's labels are indexed differently."""
+    words = forest._subset(DependencyForest, forest.head != 0)
+    if words.vocab.dep_labels != vocab.dep_labels:
+        words = DependencyForest(words.sentence_id, words.n, vocab, words.iter_entries())
+    return words
 
 
 def _graph_operators(
-    graphs: Sequence[EncoderGraph], weighted: bool, num_labels: int
+    graphs: Sequence[DependencyForest], weighted: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The message-passing operators of a chunk's graphs over its ``n`` packed
     word rows: the block-diagonal union, each graph's words shifted by the
     words of the graphs before it.
 
     The arc weights (probabilities, or 1.0 when unweighted) are summed into
-    the ``(n, n)`` head x dependent adjacency and two ``(n, 2 * num_labels)``
-    tables: each head's label counts and each dependent's reversed-label
-    counts, label ``l`` reversed in column ``num_labels + l`` as in ``label_emb``.
+    the ``(n, n)`` head x dependent adjacency and two ``(n, 2 * L)`` tables
+    for the ``L`` dependency labels: each head's label counts and each
+    dependent's reversed-label counts, label ``l`` reversed in column
+    ``L + l`` as in ``label_emb``.
     """
     sizes = [g.n for g in graphs]
-    n, width = sum(sizes), 2 * num_labels
-    offsets = np.cumsum([0] + sizes[:-1])
-    edges = [g.edges + (offset, offset, 0) for g, offset in zip(graphs, offsets)]
-    heads, mods, labels = np.concatenate(edges).reshape(-1, 3).T
-    h, m = heads - 1, mods - 1  # state rows
-    probs = np.concatenate([g.probs for g in graphs])
+    n, num_labels = sum(sizes), graphs[0].vocab.num_dep_labels
+    width = 2 * num_labels
+    rows = np.repeat(np.cumsum([0] + sizes[:-1]) - 1, [len(g.prob) for g in graphs])
+    h = np.concatenate([g.head for g in graphs]) + rows  # state rows
+    m = np.concatenate([g.modifier for g in graphs]) + rows
+    labels = np.concatenate([g.label for g in graphs])
+    probs = np.concatenate([g.prob for g in graphs])
     w = probs if weighted else np.ones(len(probs))
 
     def summed(index: np.ndarray, cols: int) -> np.ndarray:
@@ -517,14 +504,14 @@ def forward_instance(
     token_ids: Sequence[np.ndarray],
     span1: Sequence[tuple[int, int]],
     span2: Sequence[tuple[int, int]],
-    graph: Sequence[EncoderGraph] | None,
+    graph: Sequence[DependencyForest] | None,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> ForwardTrace:
     """Full forward pass over a chunk of instances.
 
-    Each argument (token ids, spans, graphs) holds one entry per instance; one
-    instance runs as a chunk of one.  ``rel_logits`` has a row per instance,
+    Each argument (token ids, spans, ``build_gnn_graph`` graphs) holds one
+    entry per instance; one instance runs as a chunk of one.  ``rel_logits`` has a row per instance,
     ``h_final`` and ``ner_logits`` a row per word.
 
     ``graph=None`` selects the text-only path: mention pooling and the NER head
@@ -555,7 +542,7 @@ def forward_instance(
     h0, lstm = bilstm_forward(params, emb, lengths)
     h_final, grn_caches, operators = h0, [], None
     if graph is not None:
-        operators = _graph_operators(graph, config.weighted, params["label_emb"].shape[0] // 2)
+        operators = _graph_operators(graph, config.weighted)
         h_final, grn_caches = grn_forward(params, h0, operators, config.steps)
     pooled = (pool @ h_final).reshape(len(lengths), -1)
     pooled_dropped = pooled if pooled_mask is None else pooled * pooled_mask

@@ -15,6 +15,7 @@ models and metric curves bitwise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import product
@@ -33,7 +34,6 @@ from .core import (
 )
 from .encoder import (
     Checkpoint,
-    EncoderGraph,
     ForwardTrace,
     ModelConfig,
     ModelParams,
@@ -66,8 +66,10 @@ class TrainConfig:
     patience: int = 10
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        for name in ("learning_rate", "l2"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 1:
@@ -184,7 +186,7 @@ class _Encoded:
     token_ids: np.ndarray
     span1: tuple[int, int]
     span2: tuple[int, int]
-    graph: EncoderGraph | None
+    graph: DependencyForest | None
     relation_index: int
     tag_indices: tuple[int, ...] | None
 
@@ -271,9 +273,10 @@ def _forward_chunk(
 
 
 def _loss_and_seeds(
-    trace: ForwardTrace, chunk: Sequence[_Encoded], use_ner: bool
+    trace: ForwardTrace, chunk: Sequence[_Encoded]
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """The summed loss of the chunk's instances and its seeds on the head logits.
+    """The summed loss of the chunk's instances and its seeds on the head logits;
+    the tag term and its seed come with the model's NER head.
 
     Each seed is softmax minus one-hot at the gold entries; a tag row is also
     divided by its instance's word count.  An instance's tag term and the
@@ -285,7 +288,7 @@ def _loss_and_seeds(
     d_rel = trace.rel_probs.copy()
     d_rel[rows, gold] -= 1.0
     d_ner = None
-    if use_ner:
+    if trace.ner_logits is not None:
         lengths = [len(enc.token_ids) for enc in chunk]
         words = np.arange(sum(lengths))
         tags = np.concatenate([enc.tag_indices for enc in chunk])
@@ -304,7 +307,6 @@ def _chunk_loss(
     params: ModelParams,
     config: ModelConfig,
     chunk: Sequence[_Encoded],
-    use_ner: bool,
     grads: ModelParams,
     train: bool,
     rng: np.random.Generator | None,
@@ -312,7 +314,7 @@ def _chunk_loss(
     """The summed loss of the chunk's instances; their gradients are added
     into ``grads``."""
     trace = _forward_chunk(params, config, chunk, train, rng)
-    total, d_rel, d_ner = _loss_and_seeds(trace, chunk, use_ner)
+    total, d_rel, d_ner = _loss_and_seeds(trace, chunk)
     backward(params, config, trace, grads, d_rel, d_ner)
     return total
 
@@ -379,13 +381,7 @@ def train(
             acc.flat.fill(0.0)
             for chunk in _chunks(batch):
                 loss_sum += _chunk_loss(
-                    params,
-                    model_config,
-                    chunk,
-                    model_config.ner_head,
-                    acc,
-                    train=True,
-                    rng=dropout_rng,
+                    params, model_config, chunk, acc, train=True, rng=dropout_rng
                 )
             acc.flat *= 1.0 / len(batch)
             adam_step(params, acc, state, train_config)
@@ -576,10 +572,10 @@ def _gradient_check_chunk(
 
         def loss_value() -> float:
             trace = _forward_chunk(params, config, chunk, train=False, rng=None)
-            return _loss_and_seeds(trace, chunk, use_ner)[0]
+            return _loss_and_seeds(trace, chunk)[0]
 
         grads = params.zero_grads()
-        _chunk_loss(params, config, chunk, use_ner, grads, train=False, rng=None)
+        _chunk_loss(params, config, chunk, grads, train=False, rng=None)
         worst = 0.0
         for i, orig in enumerate(params.flat.tolist()):
             params.flat[i] = orig + GRADIENT_CHECK_STEP

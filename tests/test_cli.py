@@ -356,6 +356,42 @@ class TestTrainEvalPredict:
         assert f"error: {ckpt}: checkpoint tensor 'cls.W' field 'shape' must be a list" in err
         assert "Traceback" not in err
 
+    def test_negative_l2_is_an_error_line(self, synth_dir, tmp_path, capsys):
+        forests = _make_forests(synth_dir, extra=("--algo", "edgewise", "--gamma", "0.2"))
+        ckpt = tmp_path / "model.json"
+        capsys.readouterr()
+        code = self._train(synth_dir, forests, ckpt, tmp_path / "m.tsv", extra=("--l2", "-1"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: l2 must be a finite number >= 0, got -1.0\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_is_an_error_line(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--count", "30", "--seed", "3"]) == 0
+        forests = _make_forests(data, extra=("--algo", "edgewise", "--gamma", "0.2"))
+        ckpt = tmp_path / "model.json"
+        capsys.readouterr()
+        code = main(["train", "--vocab", str(data / "vocab.json"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--dev-corpus", str(data / "corpus.jsonl"),
+                     "--forests", str(forests), "--dev-forests", str(forests),
+                     "--checkpoint", str(ckpt), "--log", str(tmp_path / "m.tsv"),
+                     "--dim-word", "4", "--dim-label", "4", "--dim-hidden", "4",
+                     "--epochs", "2", "--lr", "1e300"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: non-finite gradient for parameter 'word_emb'\n"
+        assert not ckpt.exists()
+
+
+class TestSynthCommand:
+    def test_nan_temperature_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = main(["synth", "--out-dir", str(out), "--count", "2", "--temperature", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: temperature must be a finite number > 0, got nan\n"
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     @pytest.mark.slow

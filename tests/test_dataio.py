@@ -1,6 +1,7 @@
 """File formats (round trips, error reporting) and the synthetic generator."""
 
 import json
+import math
 import os
 import re
 import stat
@@ -496,6 +497,12 @@ class TestSynthSpecValidation:
             SynthSpec(n_sentences=1, temperature=0.0)
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, prob_floor=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_temperature_must_be_finite_and_positive(self, value):
+        message = f"temperature must be a finite number > 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(n_sentences=1, temperature=value)
 
 
 class TestSynthGenerator:

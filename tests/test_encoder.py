@@ -299,18 +299,18 @@ class TestGraph:
     def test_root_arcs_are_dropped(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         assert forest.num_edges == 5
-        assert graph.edges.shape == (4, 3) and graph.probs.shape == (4,)
-        assert (graph.edges[:, 0] != 0).all()
+        assert [len(a) for a in (graph.head, graph.modifier, graph.label, graph.prob)] == [4] * 4
+        assert (graph.head != 0).all()
 
     def test_label_rows_resolved(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         num = vocab5.num_dep_labels
-        labels = graph.edges[:, 2]
+        labels = graph.label
         assert ((0 <= labels) & (labels < num)).all()
         assert labels.tolist() == [vocab5.dep_index(e.label) for e in forest.edges if e.head != 0]
         # forward labels count in the first num columns, reversed ones num later
-        _, dep_labels, head_labels = _graph_operators([graph], False, num)
-        for (head, modifier, label) in graph.edges:
+        _, dep_labels, head_labels = _graph_operators([graph], False)
+        for head, modifier, label in zip(graph.head, graph.modifier, graph.label):
             assert dep_labels[head - 1, label] >= 1.0
             assert head_labels[modifier - 1, num + label] >= 1.0
         assert not dep_labels[:, num:].any() and not head_labels[:, :num].any()
@@ -318,16 +318,32 @@ class TestGraph:
     def test_edge_order_follows_forest(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         non_root = [e for e in forest.edges if e.head != 0]
-        assert graph.edges[:, :2].tolist() == [[e.head, e.modifier] for e in non_root]
-        assert graph.probs.tolist() == [e.prob for e in non_root]
+        assert list(zip(graph.head.tolist(), graph.modifier.tolist())) == [
+            (e.head, e.modifier) for e in non_root
+        ]
+        assert graph.prob.tolist() == [e.prob for e in non_root]
 
     def test_labels_are_indexed_in_the_model_vocabulary(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         reordered = LabelVocab(tuple(reversed(vocab5.dep_labels)), vocab5.relations, vocab5.ne_tags)
         other = DependencyForest("s", forest.n, reordered, forest.iter_entries())
-        assert np.array_equal(build_gnn_graph(other, vocab5).edges, graph.edges)
+        rebuilt = build_gnn_graph(other, vocab5)
+        for name in ("head", "modifier", "label", "prob"):
+            assert np.array_equal(getattr(rebuilt, name), getattr(graph, name))
+        # Word 2 heads word 1 under three labels whose weights sum to 1.0 in
+        # model-vocabulary order and to 0.9999999999999999 in reversed order:
+        # the graph sums them in the model's order whatever the forest's.
+        entries = [(1, 2, "amod", 0.1), (1, 2, "nsubj", 0.2), (1, 2, "obj", 0.7)]
+        mine, theirs = (
+            build_gnn_graph(DependencyForest("s", 2, v, entries), vocab5)
+            for v in (vocab5, reordered)
+        )
+        assert mine == theirs
+        for a, b in zip(_graph_operators([mine], True), _graph_operators([theirs], True)):
+            assert a.tobytes() == b.tobytes()
+        assert _graph_operators([mine], True)[0][1, 0] == 1.0
         narrow = LabelVocab(vocab5.dep_labels[:1], vocab5.relations, vocab5.ne_tags)
-        with pytest.raises(LabelLookupError):
+        with pytest.raises(LabelLookupError, match="unknown dependency label 'conj'"):
             build_gnn_graph(forest, narrow)
 
 
@@ -337,7 +353,7 @@ def _doubled_pairs(forest):
 
 
 def _messages(h, label_emb, graph, weighted):
-    ops = _graph_operators([graph], weighted, label_emb.shape[0] // 2)
+    ops = _graph_operators([graph], weighted)
     return compute_messages(h, label_emb, ops)
 
 
@@ -459,7 +475,7 @@ class TestGrn:
     def test_zero_steps_is_identity(self, vocab5, tiny_setup):
         _, params, _, graph, _ = tiny_setup
         h0 = np.random.default_rng(2).normal(size=(4, 4))
-        ops = _graph_operators([graph], False, vocab5.num_dep_labels)
+        ops = _graph_operators([graph], False)
         h_final, caches = grn_forward(params, h0, ops, steps=0)
         assert h_final is h0
         assert caches == []
@@ -482,9 +498,8 @@ class TestGrn:
         token_ids = np.array([1, 2, 3, 4])
         emb = params["word_emb"][token_ids]
         h0, _ = bilstm_forward(params, emb, [4])
-        num = vocab5.num_dep_labels
-        ops_with = _graph_operators([build_gnn_graph(connected, vocab5)], False, num)
-        ops_without = _graph_operators([build_gnn_graph(empty, vocab5)], False, num)
+        ops_with = _graph_operators([build_gnn_graph(connected, vocab5)], False)
+        ops_without = _graph_operators([build_gnn_graph(empty, vocab5)], False)
         h_with, _ = grn_forward(params, h0, ops_with, 2)
         h_without, _ = grn_forward(params, h0, ops_without, 2)
         assert np.array_equal(h_with[3], h_without[3])

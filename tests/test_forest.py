@@ -594,7 +594,7 @@ class TestEdgewise:
         loaded = dataio.load_forests(path, vocab5)
         for probs in grids:
             assert loaded[probs.sentence_id] == edgewise_forest(probs, 0.05)
-            assert len(build_gnn_graph(loaded[probs.sentence_id], vocab5).edges) > 0
+            assert build_gnn_graph(loaded[probs.sentence_id], vocab5).num_edges > 0
 
 
 class TestInjectFallback:

@@ -50,7 +50,7 @@ def _chunk_loss_of(rel_logits, gold, ner_logits=None, tags=None):
     trace = SimpleNamespace(
         rel_logits=rel_logits, rel_probs=softmax(rel_logits), ner_logits=ner_logits
     )
-    return training._loss_and_seeds(trace, chunk, ner_logits is not None)
+    return training._loss_and_seeds(trace, chunk)
 
 
 class TestLosses:
@@ -147,11 +147,11 @@ def test_chunk_loss_matches_per_instance_reference_bitwise(use_ner):
     chunk = training._encode_instances(
         instances, None, data.vocab, build_word_index(words), "textonly", use_ner
     )
-    config = ModelConfig(dim_word=4, dim_label=3, dim_hidden=4, ner_head=True, seed=2)
+    config = ModelConfig(dim_word=4, dim_label=3, dim_hidden=4, ner_head=use_ner, seed=2)
     params = init_params(config, data.vocab, len(words))
     trace = training._forward_chunk(params, config, chunk, train=False, rng=None)
 
-    total, d_rel, d_ner = training._loss_and_seeds(trace, chunk, use_ner)
+    total, d_rel, d_ner = training._loss_and_seeds(trace, chunk)
     want_total, want_rel, want_ner = _reference_loss_and_seeds(trace, chunk, use_ner)
     assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
     assert d_rel.tobytes() == want_rel.tobytes()
@@ -284,6 +284,13 @@ class TestAdam:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(patience=0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rates_must_be_finite_and_non_negative(self, name, value):
+        message = f"{name} must be a finite number >= 0, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{name: value})
 
 
 class TestScorePredictions:
