@@ -8,9 +8,9 @@ Arc probabilities and dependency forests share one form, four read-only numpy
 arrays in canonical order, and one array check (``_ArcSet``); everything
 downstream reads those arrays; one modifier's entries are the run that
 ``np.searchsorted`` finds in ``modifier``.  Labels reach the check as
-vocabulary indices: rows from callers and files are split into columns and
-their label names mapped to indices in one pass (an unknown name to -1),
-and the synthetic generator passes index arrays through
+vocabulary indices: rows from callers are split into columns (files hold
+columns) and label names mapped to indices in one pass (an unknown name to
+-1), and the synthetic generator passes index arrays through
 ``_ArcSet._from_arrays`` without building rows.
 """
 
@@ -139,38 +139,41 @@ class DependencyEdge(NamedTuple):
         return (self.head, self.label, self.modifier)
 
 
-def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str = "") -> tuple:
-    """Fail unless every value in ``rows`` has a type its field admits;
-    return the columns, one tuple per field.
-
-    Every row must be a list or tuple holding one value per ``(field, kind)``
-    of ``fields``, where ``kind`` is a key of ``_FIELD_TYPES``.  The first
-    field holding a wrong type is reported with the 1-based place of its
-    first wrong row (``arc 2 field 'modifier' must be an int, got float``);
-    without ``row_name``, ``rows`` is one record's values and only the field
-    is named.  Each column's types are gathered in one pass.
-    """
-    if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {len(fields)}:
-        raise ValueError(f"each {row_name} must be a list of {len(fields)} values")
-    columns = tuple(zip(*rows)) or ((),) * len(fields)
+def _check_columns(columns: Sequence, fields: Sequence, entry: str = "") -> Sequence:
+    """Fail unless each column, one per ``(field, kind)`` of ``fields`` with
+    ``kind`` a key of ``_FIELD_TYPES``, is a list or tuple of values ``kind``
+    admits and all are equal in length; return ``columns``.  A wrong type is
+    named by field and 1-based entry (``arc 2 field 'modifier' must be an
+    int, got float``), or by field alone without ``entry``."""
     for (field, kind), column in zip(fields, columns):
+        if type(column) not in (list, tuple):
+            raise ValueError(f"field {field!r} must be a list, got {type(column).__name__}")
         allowed, name = _FIELD_TYPES[kind]
         types = set(map(type, column))
         wrong = {t for t in types if not issubclass(t, allowed) or (t is bool) != (kind is bool)}
         if wrong:
-            row, value = next((i, v) for i, v in enumerate(column, 1) if type(v) in wrong)
-            where = f"{row_name} {row} field {field!r}" if row_name else f"field {field!r}"
+            place, value = next((i, v) for i, v in enumerate(column, 1) if type(v) in wrong)
+            where = f"{entry} {place} field {field!r}" if entry else f"field {field!r}"
             raise ValueError(f"{where} must be {name}, got {type(value).__name__}")
+    if len(set(map(len, columns))) > 1:
+        names = [field for field, _ in fields]
+        raise ValueError(f"columns {names} differ in length: {list(map(len, columns))}")
     return columns
+
+
+def _check_types(rows: list, fields: Sequence[tuple[str, type]], row_name: str = "") -> tuple:
+    """``_check_columns`` on the columns of ``rows``, which it returns, one
+    tuple per field; every row must be a list or tuple holding one value per
+    field.  Without ``row_name``, ``rows`` is one record's values."""
+    if set(map(type, rows)) - {list, tuple} or set(map(len, rows)) - {len(fields)}:
+        raise ValueError(f"each {row_name} must be a list of {len(fields)} values")
+    return _check_columns(tuple(zip(*rows)) or ((),) * len(fields), fields, row_name)
 
 
 def _check_list(value: object, field: str, kind: type) -> list:
     """``value``, if it is a JSON list whose items ``kind`` admits
     (``item 2 field 'dep_labels' must be a string, got int``)."""
-    if type(value) is not list:
-        raise ValueError(f"field {field!r} must be a list, got {type(value).__name__}")
-    _check_types([[item] for item in value], ((field, kind),), "item")
-    return value
+    return _check_columns((value,), ((field, kind),), "item")[0]
 
 
 class _ArcSet:
@@ -200,7 +203,7 @@ class _ArcSet:
     @classmethod
     def _from_columns(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
         """Build from ``(modifier, head, label, prob)`` columns that
-        ``_check_types`` returned (a file reader's)."""
+        ``_check_columns`` passed (a file reader's)."""
         arcs = cls.__new__(cls)
         arcs._check_named(sentence_id, n, vocab, columns)
         return arcs
@@ -297,10 +300,15 @@ class _ArcSet:
         arcs._keep(self.sentence_id, self.n, self.vocab, *(column[keep] for column in columns))
         return arcs
 
+    def _columns(self) -> dict[str, list]:
+        """``iter_entries`` as one list per ``_ARC_FIELDS`` field (the file layout)."""
+        labels = list(map(self.vocab.dep_labels.__getitem__, self.label.tolist()))
+        columns = (self.modifier.tolist(), self.head.tolist(), labels, self.prob.tolist())
+        return dict(zip((field for field, _ in _ARC_FIELDS), columns))
+
     def iter_entries(self) -> Iterator[tuple[int, int, str, float]]:
         """Quadruples of Python ints, label strings and floats in canonical order."""
-        labels = map(self.vocab.dep_labels.__getitem__, self.label.tolist())
-        return zip(self.modifier.tolist(), self.head.tolist(), labels, self.prob.tolist())
+        return zip(*self._columns().values())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -409,6 +417,10 @@ class DependencyTree:
     def parents(self) -> list[int]:
         """Head vector: entry ``m - 1`` is the head of position ``m``."""
         return [e.head for e in self.edges]
+
+    def _columns(self) -> dict[str, list]:
+        """One list per ``_ARC_FIELDS`` field, in modifier order (the file layout)."""
+        return {field: [getattr(e, field) for e in self.edges] for field, _ in _ARC_FIELDS}
 
 
 def ancestors_of(parents: Sequence[int], position: int) -> set[int]:

@@ -8,25 +8,27 @@ Formats::
 
     corpus:  {"id", "tokens", "mention1": {"start", "end"}, "mention2": ...,
               "relation", "ne_tags"?}            (spans are half-open, 1-based)
-    arcs:    {"id", "n", "arcs": [[modifier, head, label, prob], ...]}
-    forests: {"id", "n", "edges": [[head, label, modifier, prob], ...]}
+    arcs, forests, trees: {"head": [...], "id", "label": [...],
+              "modifier": [...], "n", "prob": [...]}   (entry i: item i of each)
     vocab:   {"dep_labels", "relations", "ne_tags"}   (the LabelVocab fields)
     predictions: {"id", "relation", "prob"}      (one line per instance)
 
-Arc and forest rows are kept in canonical (modifier, head, label-index) order,
-which makes load-then-write byte-identical.  Gold trees use the forest format
-(a tree is just a forest with exactly one head per token).  One writer and one
-reader serve the arc, forest and tree files; they differ in the row key
-("arcs" or "edges") and the order of a row's fields.
+Arc, forest and gold-tree files share one record layout: one list per field
+of an entry, in canonical (modifier, head, label-index) order, which makes
+load-then-write byte-identical.  A tree is a forest with exactly one head
+per token.  One writer and one reader serve all three files.
 
 Readers check JSON types first: each line and each mention must be a JSON
 object; positions, ``n`` and span ends must be ints (not bool, float or str),
 ids, relations and labels strings, tokens and NE tags lists of strings, and
-probabilities numbers; the error names the file, the line and the field.  The
-type check splits a record's rows into columns, and arc and forest columns go
-as decoded to the one check that ``ArcProbabilities`` and ``DependencyForest``
-share, which maps label names to vocabulary indices; a duplicate
-(modifier, head, label) row fails in either file.
+probabilities numbers; the error names the file, the line, the field and,
+in a column, the 1-based entry.  Arc columns must be lists of equal length;
+a missing one is named (``arcs.jsonl:3: 'prob'``), so a line in the row
+layout of earlier versions (``"arcs"`` or ``"edges"`` rows) fails and must
+be rewritten.  Checked columns go as decoded to the one check that
+``ArcProbabilities`` and ``DependencyForest`` share, which maps label names
+to vocabulary indices; a duplicate (modifier, head, label) entry fails in
+any of the three files.
 
 The synthetic generator scores each sentence as whole arrays: one Gumbel
 draw of shape (n, n·L), a softmax per row, and one ``np.nonzero`` for the
@@ -59,6 +61,7 @@ from .core import (
     NONE_RELATION,
     RelationInstance,
     Sentence,
+    _check_columns,
     _check_list,
     _check_types,
     ancestors_of,
@@ -111,12 +114,10 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-_EDGE_FIELDS = (("head", int), ("label", str), ("modifier", int), ("prob", float))
 _SPANS = [(mention, end) for mention in ("mention1", "mention2") for end in ("start", "end")]
 _INSTANCE_FIELDS = (("id", str), ("relation", str)) + tuple(
     (f"{mention}.{end}", int) for mention, end in _SPANS
 )
-_RECORD_FIELDS = (("id", str), ("n", int))
 
 
 def _read_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -216,78 +217,58 @@ def save_predictions(rows: Iterable[tuple[str, str, float]], path: str | Path) -
 
 
 # --------------------------------------------------------------------------
-# Arc probability files
+# Arc, forest and tree files
 
 
-def _write_records(by_id: dict, key: str, rows: Callable, path: str | Path) -> None:
-    """One arc-format (``key`` "arcs") or forest-format ("edges") line per
-    record, in map order; ``rows`` gives a record's rows, which are
-    canonically sorted already."""
-    lines = ({"id": sid, "n": record.n, key: rows(record)} for sid, record in by_id.items())
-    _write_jsonl(path, lines)
+def _write_records(by_id: dict, path: str | Path) -> None:
+    """One line per arc set or tree, in map order: ``id``, ``n`` and its
+    canonically sorted columns."""
+    _write_jsonl(path, ({"id": sid, "n": arcs.n, **arcs._columns()} for sid, arcs in by_id.items()))
 
 
-def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
-    _write_records(probs_by_id, "arcs", lambda p: list(p.iter_entries()), path)
-
-
-def _read_arc_records(
-    path: str | Path,
-    vocab: LabelVocab,
-    key: str,
-    build: Callable[[str, int, LabelVocab, tuple], object],
-) -> dict:
-    """Parse arc-format (``key`` "arcs") or forest-format ("edges") lines in
-    file order; ``build(sid, n, vocab, columns)`` makes each value from the
-    line's type-checked ``(modifier, head, label, prob)`` columns.
-
-    Any violation, including one ``build`` raises, fails with the line number.
-    """
+def _read_arc_records(path: str | Path, vocab: LabelVocab, build: Callable) -> dict:
+    """Parse arc, forest or tree lines in file order; ``build(sid, n, vocab,
+    columns)`` makes each value from the line's type-checked columns.  Any
+    violation, including one ``build`` raises, fails with the line number."""
     out: dict = {}
     for no, line in _read_lines(path):
         try:
             obj = _check_object(json.loads(line), "record")
-            _check_types([[obj["id"], obj["n"]]], _RECORD_FIELDS)
+            _check_types([[obj["id"], obj["n"]]], (("id", str), ("n", int)))
             sid = obj["id"]
             if sid in out:
                 raise DataFormatError(f"duplicate sentence id {sid!r}")
-            if key == "arcs":
-                columns = _check_types(obj["arcs"], _ARC_FIELDS, "arc")
-            else:
-                head, label, modifier, prob = _check_types(obj["edges"], _EDGE_FIELDS, "edge")
-                columns = (modifier, head, label, prob)
+            columns = _check_columns([obj[field] for field, _ in _ARC_FIELDS], _ARC_FIELDS, "arc")
             out[sid] = build(sid, obj["n"], vocab, columns)
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}:{no}: {exc}") from exc
     return out
 
 
+def save_arc_probs(probs_by_id: dict[str, ArcProbabilities], path: str | Path) -> None:
+    _write_records(probs_by_id, path)
+
+
 def load_arc_probs(path: str | Path, vocab: LabelVocab) -> dict[str, ArcProbabilities]:
     """Read arc-probability records in file order; any violation fails fast."""
-    return _read_arc_records(path, vocab, "arcs", ArcProbabilities._from_columns)
-
-
-# --------------------------------------------------------------------------
-# Forest and tree files
+    return _read_arc_records(path, vocab, ArcProbabilities._from_columns)
 
 
 def write_forests(forests_by_id: dict[str, DependencyForest], path: str | Path) -> None:
-    """Write forests in map order, one row per entry."""
-    _write_records(
-        forests_by_id, "edges", lambda f: [[h, lb, m, p] for m, h, lb, p in f.iter_entries()], path
-    )
+    """Write forests in map order."""
+    _write_records(forests_by_id, path)
 
 
 def load_forests(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyForest]:
-    """Read forests; a row repeating a (head, label, modifier) triple fails."""
-    return _read_arc_records(path, vocab, "edges", DependencyForest._from_columns)
+    """Read forests; an entry repeating a (modifier, head, label) key fails."""
+    return _read_arc_records(path, vocab, DependencyForest._from_columns)
 
 
 def save_trees(trees_by_id: dict[str, DependencyTree], path: str | Path) -> None:
-    _write_records(trees_by_id, "edges", lambda t: [list(e) for e in t.edges], path)
+    _write_records(trees_by_id, path)
 
 
-def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: tuple) -> DependencyTree:
+def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: Sequence) -> DependencyTree:
     forest = DependencyForest._from_columns(sid, n, vocab, columns)
     if forest.num_edges != n:
         raise DataFormatError(f"tree for {sid!r} has {forest.num_edges} edges for {n} tokens")
@@ -300,7 +281,7 @@ def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: tuple) -> D
 
 def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]:
     """Read trees stored in the forest format, enforcing tree invariants."""
-    return _read_arc_records(path, vocab, "edges", _tree_from_columns)
+    return _read_arc_records(path, vocab, _tree_from_columns)
 
 
 # --------------------------------------------------------------------------
@@ -309,6 +290,8 @@ def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]
 # The synthetic relation grid: RELATION_ROWS x RELATION_COLS relations, plus "None".
 RELATION_ROWS = 2
 RELATION_COLS = 2
+# Synthetic arc entries at or below this probability are not stored.
+PROB_FLOOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -328,7 +311,6 @@ class SynthSpec:
     max_len: int = 9
     n_dep_labels: int = 6
     temperature: float = 0.2
-    prob_floor: float = 1e-4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -340,8 +322,6 @@ class SynthSpec:
             raise ValueError(f"need at least {RELATION_ROWS + 1} dependency labels")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be a finite number > 0, got {self.temperature}")
-        if not 0.0 <= self.prob_floor < 1.0:
-            raise ValueError("prob_floor must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -485,14 +465,14 @@ def synth_generate(spec: SynthSpec) -> SynthData:
         probs = np.exp(scores)
         probs /= probs.sum(axis=1, keepdims=True)
         gold = probs[rows, gold_cell]
-        low = np.flatnonzero(gold <= spec.prob_floor)
+        low = np.flatnonzero(gold <= PROB_FLOOR)
         if low.size:
             raise RuntimeError(
                 f"gold arc for {sid!r} position {low[0] + 1} fell below the storage floor; "
-                "lower the temperature or the floor"
+                "lower the temperature"
             )
         # Row-major order is (modifier, head, label) order: canonical already.
-        row, cell = np.nonzero(probs > spec.prob_floor)
+        row, cell = np.nonzero(probs > PROB_FLOOR)
         modifier = row + 1
         head = cell // n_labels
         head += head >= modifier

@@ -210,6 +210,12 @@ def _encode_instances(
     try:
         for idx, inst in enumerate(instances):
             rel_idx = vocab.relation_index(inst.relation)
+            if structure == "tree":
+                heads = np.bincount(forests[idx].modifier, minlength=inst.sentence.n + 1)
+                if (heads[1:] != 1).any():
+                    m = int(np.argmax(heads[1:] != 1)) + 1
+                    raise ValueError(f"structure 'tree' needs one head per word; "
+                                     f"{inst.sentence.id!r} position {m} has {heads[m]} heads")
             graph = build_gnn_graph(forests[idx], vocab) if use_graph else None
             tags = None
             if need_tags:
@@ -373,30 +379,32 @@ def train(
     # One buffer zeroed per minibatch: a new one per minibatch, allocated among
     # the chunks' arrays, fragments the heap and peak RSS grows run by run.
     acc = params.zero_grads()
-    for epoch in range(1, train_config.epochs + 1):
-        order = shuffle_rng.permutation(len(train_enc))
-        loss_sum = 0.0
-        for lo in range(0, len(order), train_config.batch_size):
-            batch = [train_enc[idx] for idx in order[lo : lo + train_config.batch_size]]
-            acc.flat.fill(0.0)
-            for chunk in _chunks(batch):
-                loss_sum += _chunk_loss(
-                    params, model_config, chunk, acc, train=True, rng=dropout_rng
-                )
-            acc.flat *= 1.0 / len(batch)
-            adam_step(params, acc, state, train_config)
-        train_loss = loss_sum / len(train_enc)
-        dev_pred = [ridx for ridx, _ in _argmax_relations(params, model_config, dev_enc)]
-        report = score_predictions(dev_pred, dev_gold, none_index)
-        records.append(
-            EpochRecord(epoch, train_loss, report.precision, report.recall, report.f1)
-        )
-        if report.f1 > best_f1:
-            best_f1 = report.f1
-            best_epoch = epoch
-            best_params = params.copy()
-        elif epoch - best_epoch >= train_config.patience:
-            break
+    # A diverging run ends in ``adam_step``'s OptimizationError, not in warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, train_config.epochs + 1):
+            order = shuffle_rng.permutation(len(train_enc))
+            loss_sum = 0.0
+            for lo in range(0, len(order), train_config.batch_size):
+                batch = [train_enc[idx] for idx in order[lo : lo + train_config.batch_size]]
+                acc.flat.fill(0.0)
+                for chunk in _chunks(batch):
+                    loss_sum += _chunk_loss(
+                        params, model_config, chunk, acc, train=True, rng=dropout_rng
+                    )
+                acc.flat *= 1.0 / len(batch)
+                adam_step(params, acc, state, train_config)
+            train_loss = loss_sum / len(train_enc)
+            dev_pred = [ridx for ridx, _ in _argmax_relations(params, model_config, dev_enc)]
+            report = score_predictions(dev_pred, dev_gold, none_index)
+            records.append(
+                EpochRecord(epoch, train_loss, report.precision, report.recall, report.f1)
+            )
+            if report.f1 > best_f1:
+                best_f1 = report.f1
+                best_epoch = epoch
+                best_params = params.copy()
+            elif epoch - best_epoch >= train_config.patience:
+                break
     checkpoint = Checkpoint(model_config, structure, vocab, words, best_params)
     return TrainResult(checkpoint, records, best_epoch, time.perf_counter() - start)
 

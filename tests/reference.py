@@ -27,6 +27,7 @@ import itertools
 
 import numpy as np
 
+from forestrel import dataio
 from forestrel.core import ArcProbabilities, DependencyEdge, DependencyTree, is_well_formed_tree
 from forestrel.dataio import SynthData, SynthSpec, _synth_instance, synth_vocab
 from forestrel.forest import DecodingError, decode_kbest
@@ -134,13 +135,13 @@ def synth_generate_per_cell(spec: SynthSpec) -> SynthData:
             for ci, (h, li) in enumerate(cells):
                 p = float(probs[ci])
                 if h == parents[m - 1] and li == labels[m - 1]:
-                    if p <= spec.prob_floor:
+                    if p <= dataio.PROB_FLOOR:
                         raise RuntimeError(
                             f"gold arc for {sid!r} position {m} fell below the storage floor; "
-                            "lower the temperature or the floor"
+                            "lower the temperature"
                         )
                     gold_edge_prob[m] = p
-                if p > spec.prob_floor:
+                if p > dataio.PROB_FLOOR:
                     entries.append((m, h, vocab.dep_labels[li], p))
         arc_probs[sid] = ArcProbabilities(sid, n, vocab, entries)
         gold_trees[sid] = DependencyTree.from_edges(

@@ -112,7 +112,7 @@ def test_arc_entry_counter_counts_the_file_entries(tmp_path):
     data = synth_generate(SynthSpec(n_sentences=3, seed=4))
     path = tmp_path / "arcs.jsonl"
     save_arc_probs(data.arc_probs, path)
-    in_file = sum(len(json.loads(line)["arcs"]) for line in path.read_text().splitlines())
+    in_file = sum(len(json.loads(line)["prob"]) for line in path.read_text().splitlines())
     tracer = spans.Tracer()
     tracer.install()
     try:

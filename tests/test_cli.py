@@ -266,6 +266,49 @@ class TestTrainEvalPredict:
         assert len(rows) == 12
         assert set(rows[0]) == {"id", "relation", "prob"}
 
+    def _gold_with(self, synth_dir, path, edit):
+        """gold.jsonl with ``edit`` applied to the columns of its third tree (s00002)."""
+        lines = (synth_dir / "gold.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        edit(records[2])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return path
+
+    @staticmethod
+    def _second_head_at_3(record):
+        record["modifier"].append(3)
+        record["head"].append(1 if record["head"][2] == 0 else 0)
+        record["label"].append(record["label"][2])
+        record["prob"].append(0.1)
+
+    def test_train_tree_refuses_a_word_with_two_heads(self, synth_dir, tmp_path, capsys):
+        forests = self._gold_with(synth_dir, tmp_path / "f.jsonl", self._second_head_at_3)
+        ckpt = tmp_path / "model.json"
+        capsys.readouterr()
+        assert self._train(synth_dir, forests, ckpt, tmp_path / "m.tsv", structure="tree") == 1
+        assert capsys.readouterr().err == (
+            "error: structure 'tree' needs one head per word; 's00002' position 3 has 2 heads\n"
+        )
+        assert not ckpt.exists()
+
+    def test_eval_tree_model_refuses_a_word_without_head(self, synth_dir, tmp_path, capsys):
+        ckpt = tmp_path / "model.json"
+        gold = synth_dir / "gold.jsonl"
+        assert self._train(synth_dir, gold, ckpt, tmp_path / "m.tsv", structure="tree") == 0
+
+        def drop_first_arc(record):
+            for column in ("modifier", "head", "label", "prob"):
+                del record[column][0]
+
+        forests = self._gold_with(synth_dir, tmp_path / "f.jsonl", drop_first_arc)
+        capsys.readouterr()
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--corpus", str(synth_dir / "corpus.jsonl"), "--forests", str(forests)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: structure 'tree' needs one head per word; 's00002' position 1 has 0 heads\n"
+        )
+
     def test_eval_forest_model_requires_forests(self, synth_dir, tmp_path, capsys):
         forests = _make_forests(synth_dir, extra=("--algo", "edgewise", "--gamma", "0.2"))
         ckpt = tmp_path / "model.json"
@@ -365,7 +408,7 @@ class TestTrainEvalPredict:
         assert capsys.readouterr().err == "error: l2 must be a finite number >= 0, got -1.0\n"
         assert not ckpt.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_run_is_an_error_line(self, tmp_path, capsys):
         data = tmp_path / "data"
         assert main(["synth", "--out-dir", str(data), "--count", "30", "--seed", "3"]) == 0

@@ -10,7 +10,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from forestrel.core import check_tree
+from forestrel.core import (
+    ArcProbabilities,
+    DependencyEdge,
+    DependencyForest,
+    DependencyTree,
+    check_tree,
+)
 from forestrel import dataio
 from forestrel.dataio import (
     DataFormatError,
@@ -189,6 +195,11 @@ def _write_rows(path, rows):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
 
 
+def _arcs(*entries):
+    """The file columns of ``(modifier, head, label, prob)`` entries."""
+    return dict(zip(("modifier", "head", "label", "prob"), map(list, zip(*entries))))
+
+
 class TestArcFile:
     def test_round_trip_and_rewrite(self, tmp_path):
         data = synth_generate(SynthSpec(n_sentences=5, seed=2))
@@ -199,10 +210,11 @@ class TestArcFile:
         assert loaded == data.arc_probs
         save_arc_probs(loaded, second)
         assert first.read_bytes() == second.read_bytes()
-        # one row written from the README's description of the format
+        # one record written from the README's description of the format
         label = data.vocab.dep_labels[0]
         row = json.dumps(
-            {"arcs": [[1, 0, label, 0.75], [2, 1, label, 0.5]], "id": "readme", "n": 2},
+            {"head": [0, 1], "id": "readme", "label": [label, label], "modifier": [1, 2],
+             "n": 2, "prob": [0.75, 0.5]},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -213,7 +225,7 @@ class TestArcFile:
         assert first.read_bytes() == second.read_bytes()
 
     def test_duplicate_id_rejected(self, vocab5, tmp_path):
-        record = json.dumps({"id": "s0", "n": 1, "arcs": [[1, 0, "amod", 0.5]]})
+        record = json.dumps({"id": "s0", "n": 1, **_arcs((1, 0, "amod", 0.5))})
         path = tmp_path / "arcs.jsonl"
         path.write_text(record + "\n" + record + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="duplicate sentence id"):
@@ -222,7 +234,7 @@ class TestArcFile:
     def test_mass_violation_reported_with_line(self, vocab5, tmp_path):
         path = tmp_path / "arcs.jsonl"
         path.write_text(
-            json.dumps({"id": "s0", "n": 2, "arcs": [[1, 0, "amod", 0.8], [1, 2, "obj", 0.5]]})
+            json.dumps({"id": "s0", "n": 2, **_arcs((1, 0, "amod", 0.8), (1, 2, "obj", 0.5))})
             + "\n",
             encoding="utf-8",
         )
@@ -234,21 +246,21 @@ class TestArcFile:
         [
             (
                 2,
-                [[1, 0, "amod", 0.5], [1.7, 0, "obj", 0.25]],
+                _arcs((1, 0, "amod", 0.5), (1.7, 0, "obj", 0.25)),
                 "arc 2 field 'modifier' must be an int, got float",
             ),
-            (2, [[1, 0.6, "amod", 0.5]], "arc 1 field 'head' must be an int, got float"),
-            (2, [[1, False, "amod", 0.5]], "arc 1 field 'head' must be an int, got bool"),
-            (2, [[1, 0, "amod", "0.5"]], "arc 1 field 'prob' must be a number, got str"),
-            (2, [[2, 0, "amod", 0.5], [1, 0, "amod"]], "each arc must be a list of 4 values"),
-            (2.9, [[1, 0, "amod", 0.5]], "field 'n' must be an int, got float"),
+            (2, _arcs((1, 0.6, "amod", 0.5)), "arc 1 field 'head' must be an int, got float"),
+            (2, _arcs((1, False, "amod", 0.5)), "arc 1 field 'head' must be an int, got bool"),
+            (2, _arcs((1, 0, "amod", "0.5")), "arc 1 field 'prob' must be a number, got str"),
+            (2, _arcs((2, 0, 3, 0.5)), "arc 1 field 'label' must be a string, got int"),
+            (2.9, _arcs((1, 0, "amod", 0.5)), "field 'n' must be an int, got float"),
         ],
     )
     def test_mistyped_field_named_with_line(self, vocab5, tmp_path, n, arcs, message):
         path = tmp_path / "arcs.jsonl"
         _write_rows(path, [
-            {"id": "s0", "n": 2, "arcs": [[1, 0, "amod", 1]]},
-            {"id": "s1", "n": n, "arcs": arcs},
+            {"id": "s0", "n": 2, **_arcs((1, 0, "amod", 1))},
+            {"id": "s1", "n": n, **arcs},
         ])
         with pytest.raises(DataFormatError) as info:
             load_arc_probs(path, vocab5)
@@ -257,21 +269,17 @@ class TestArcFile:
     def test_unknown_label_fails_fast(self, vocab5, tmp_path):
         path = tmp_path / "arcs.jsonl"
         path.write_text(
-            json.dumps({"id": "s0", "n": 1, "arcs": [[1, 0, "punct", 0.5]]}) + "\n",
+            json.dumps({"id": "s0", "n": 1, **_arcs((1, 0, "punct", 0.5))}) + "\n",
             encoding="utf-8",
         )
         with pytest.raises(DataFormatError, match="punct"):
             load_arc_probs(path, vocab5)
 
 
-@pytest.mark.parametrize(
-    "load, key, rows",
-    [
-        (load_arc_probs, "arcs", [[1, 0, "amod", 1]]),
-        (load_forests, "edges", [[0, "amod", 1, 1]]),
-        (load_trees, "edges", [[0, "amod", 1, 1]]),
-    ],
-)
+ALL_READERS = pytest.mark.parametrize("load", [load_arc_probs, load_forests, load_trees])
+
+
+@ALL_READERS
 @pytest.mark.parametrize(
     "record, message",
     [
@@ -280,13 +288,70 @@ class TestArcFile:
         (["s1", 1], "record must be a JSON object, got list"),
     ],
 )
-def test_retyped_arc_record_named_with_line(vocab5, tmp_path, load, key, rows, record, message):
+def test_retyped_arc_record_named_with_line(vocab5, tmp_path, load, record, message):
     path = tmp_path / "records.jsonl"
-    bad = record if isinstance(record, list) else {**record, key: rows}
-    _write_rows(path, [{"id": "s0", "n": 1, key: rows}, bad])
+    one_arc = _arcs((1, 0, "amod", 1))
+    bad = record if isinstance(record, list) else {**record, **one_arc}
+    _write_rows(path, [{"id": "s0", "n": 1, **one_arc}, bad])
     with pytest.raises(DataFormatError) as info:
         load(path, vocab5)
     assert str(info.value) == f"{path}:2: {message}"
+
+
+@ALL_READERS
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({**_arcs((1, 0, "amod", 0.5)), "head": [0, 0]},
+         "columns ['modifier', 'head', 'label', 'prob'] differ in length: [1, 2, 1, 1]"),
+        ({**_arcs((1, 0, "amod", 0.5)), "prob": []},
+         "columns ['modifier', 'head', 'label', 'prob'] differ in length: [1, 1, 1, 0]"),
+        ({**_arcs((1, 0, "amod", 0.5)), "label": "amod"}, "field 'label' must be a list, got str"),
+        ({**_arcs((1, 0, "amod", 0.5)), "modifier": 1}, "field 'modifier' must be a list, got int"),
+        ({"head": [0], "label": ["amod"], "modifier": [1]}, "'prob'"),
+        ({"arcs": [[1, 0, "amod", 0.5]]}, "'modifier'"),
+        ({"edges": [[0, "amod", 1, 0.5]]}, "'modifier'"),
+    ],
+    ids=["short-head", "empty-prob", "label-not-list", "modifier-not-list", "missing-prob",
+         "old-arcs-rows", "old-edges-rows"],
+)
+def test_malformed_columns_named_with_line(vocab5, tmp_path, load, record, message):
+    path = tmp_path / "records.jsonl"
+    _write_rows(path, [
+        {"id": "s0", "n": 1, **_arcs((1, 0, "amod", 1))},
+        {"id": "s1", "n": 1, **record},
+    ])
+    with pytest.raises(DataFormatError) as info:
+        load(path, vocab5)
+    assert str(info.value) == f"{path}:2: {message}"
+
+
+def test_row_layout_files_rewritten_as_columns_load_the_same(vocab5, tmp_path):
+    # Lines in the row layout that arc, forest and tree files had before the
+    # column layout; the rows are each file's entries in canonical order.
+    arc_rows = [[1, 0, "amod", 0.75], [1, 2, "obj", 0.25], [2, 0, "nsubj", 1]]
+    edge_rows = [[2, "amod", 1, 0.75], [0, "nsubj", 2, 1]]
+    old = {
+        "arcs": (load_arc_probs, {"arcs": arc_rows, "id": "s0", "n": 2}),
+        "forests": (load_forests, {"edges": edge_rows + [[0, "obj", 1, 0.5]], "id": "s0", "n": 2}),
+        "gold": (load_trees, {"edges": edge_rows, "id": "s0", "n": 2}),
+    }
+    for name, (load, record) in old.items():
+        path = tmp_path / f"{name}.jsonl"
+        _write_rows(path, [record])
+        with pytest.raises(DataFormatError) as info:
+            load(path, vocab5)
+        assert str(info.value) == f"{path}:1: 'modifier'"
+    probs = ArcProbabilities("s0", 2, vocab5, arc_rows)
+    edges = [DependencyEdge(*row) for row in old["forests"][1]["edges"]]
+    forest = DependencyForest.from_edges("s0", 2, edges, vocab5)
+    tree = DependencyTree.from_edges(DependencyEdge(*row) for row in edge_rows)
+    for name, expected in (("arcs", probs), ("forests", forest), ("gold", tree)):
+        load, record = old[name]
+        rows = record.get("arcs") or [[m, h, label, p] for h, label, m, p in record["edges"]]
+        path = tmp_path / f"{name}-columns.jsonl"
+        _write_rows(path, [{"id": "s0", "n": 2, **_arcs(*rows)}])
+        assert load(path, vocab5) == {"s0": expected}
 
 
 class TestPredictionFile:
@@ -359,20 +424,20 @@ class TestForestAndTreeFiles:
         [
             (
                 2,
-                [[0, "amod", 1, 0.5], [1, "obj", 1.7, 0.5]],
-                "edge 2 field 'modifier' must be an int, got float",
+                _arcs((1, 0, "amod", 0.5), (1.7, 1, "obj", 0.5)),
+                "arc 2 field 'modifier' must be an int, got float",
             ),
-            (2, [[0.6, "amod", 1, 0.5]], "edge 1 field 'head' must be an int, got float"),
-            (2, [[False, "amod", 1, 0.5]], "edge 1 field 'head' must be an int, got bool"),
-            (2, [[0, "amod", 1, "0.5"]], "edge 1 field 'prob' must be a number, got str"),
-            (2.9, [[0, "amod", 1, 0.5]], "field 'n' must be an int, got float"),
+            (2, _arcs((1, 0.6, "amod", 0.5)), "arc 1 field 'head' must be an int, got float"),
+            (2, _arcs((1, False, "amod", 0.5)), "arc 1 field 'head' must be an int, got bool"),
+            (2, _arcs((1, 0, "amod", "0.5")), "arc 1 field 'prob' must be a number, got str"),
+            (2.9, _arcs((1, 0, "amod", 0.5)), "field 'n' must be an int, got float"),
         ],
     )
     def test_mistyped_field_named_with_line(self, vocab5, tmp_path, n, edges, message):
         path = tmp_path / "forests.jsonl"
         _write_rows(path, [
-            {"id": "s0", "n": 1, "edges": [[0, "amod", 1, 1]]},
-            {"id": "s1", "n": n, "edges": edges},
+            {"id": "s0", "n": 1, **_arcs((1, 0, "amod", 1))},
+            {"id": "s1", "n": n, **edges},
         ])
         for load in (load_forests, load_trees):
             with pytest.raises(DataFormatError) as info:
@@ -382,8 +447,9 @@ class TestForestAndTreeFiles:
     def test_duplicate_forest_row_fails_with_line(self, vocab5, tmp_path):
         path = tmp_path / "forests.jsonl"
         _write_rows(path, [
-            {"id": "s0", "n": 1, "edges": [[0, "amod", 1, 0.5]]},
-            {"id": "s1", "n": 2, "edges": [[0, "amod", 1, 0.5], [0, "obj", 2, 0.2], [0, "amod", 1, 0.9]]},
+            {"id": "s0", "n": 1, **_arcs((1, 0, "amod", 0.5))},
+            {"id": "s1", "n": 2,
+             **_arcs((1, 0, "amod", 0.5), (2, 0, "obj", 0.2), (1, 0, "amod", 0.9))},
         ])
         with pytest.raises(DataFormatError) as info:
             load_forests(path, vocab5)
@@ -393,8 +459,7 @@ class TestForestAndTreeFiles:
         path = tmp_path / "trees.jsonl"
         path.write_text(
             json.dumps(
-                {"id": "s0", "n": 2,
-                 "edges": [[2, "amod", 1, 0.5], [1, "obj", 2, 0.5]]}
+                {"id": "s0", "n": 2, **_arcs((1, 2, "amod", 0.5), (2, 1, "obj", 0.5))}
             ) + "\n",
             encoding="utf-8",
         )
@@ -404,7 +469,7 @@ class TestForestAndTreeFiles:
     def test_tree_file_rejects_wrong_edge_count(self, vocab5, tmp_path):
         path = tmp_path / "trees.jsonl"
         path.write_text(
-            json.dumps({"id": "s0", "n": 3, "edges": [[0, "amod", 1, 0.5]]}) + "\n",
+            json.dumps({"id": "s0", "n": 3, **_arcs((1, 0, "amod", 0.5))}) + "\n",
             encoding="utf-8",
         )
         with pytest.raises(DataFormatError, match="1 edges for 3 tokens"):
@@ -495,8 +560,6 @@ class TestSynthSpecValidation:
             SynthSpec(n_sentences=1, n_dep_labels=2)
         with pytest.raises(ValueError):
             SynthSpec(n_sentences=1, temperature=0.0)
-        with pytest.raises(ValueError):
-            SynthSpec(n_sentences=1, prob_floor=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
     def test_temperature_must_be_finite_and_positive(self, value):
@@ -565,7 +628,7 @@ class TestSynthGenerator:
             for m in range(1, probs.n + 1):
                 mass = probs.prob[probs.modifier == m].sum()
                 assert mass <= 1.0 + 1e-9
-                assert mass >= 1.0 - spec.prob_floor * cells
+                assert mass >= 1.0 - dataio.PROB_FLOOR * cells
 
     def test_low_temperature_decoding_recovers_gold(self):
         data = synth_generate(SynthSpec(n_sentences=10, seed=17, temperature=0.05))
@@ -574,34 +637,36 @@ class TestSynthGenerator:
             gold = data.gold_trees[sid]
             assert [e.triple for e in decoded.edges] == [e.triple for e in gold.edges]
 
-    def test_gold_arc_below_floor_is_an_error(self):
+    def test_gold_arc_below_floor_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(dataio, "PROB_FLOOR", 0.5)
         with pytest.raises(RuntimeError, match="storage floor"):
-            synth_generate(SynthSpec(n_sentences=2, seed=18, temperature=50.0, prob_floor=0.5))
+            synth_generate(SynthSpec(n_sentences=2, seed=18, temperature=50.0))
 
-    def test_files_match_the_per_cell_reference(self, tmp_path):
+    def test_files_match_the_per_cell_reference(self, tmp_path, monkeypatch):
         # 120 seeded specs: both length extremes, then lengths 3-40, 3-12
         # labels, T in [0.05, 0.6] and floors in [1e-6, 1e-2].  21 of them fail on
         # the floor, and those must fail with the same message.
         rng = np.random.default_rng(2024)
         specs = [
-            SynthSpec(n_sentences=3, min_len=3, max_len=3, n_dep_labels=3,
-                      temperature=0.05, prob_floor=1e-6, seed=1),
-            SynthSpec(n_sentences=1, min_len=40, max_len=40, n_dep_labels=12,
-                      temperature=0.6, prob_floor=1e-2, seed=2),
+            (SynthSpec(n_sentences=3, min_len=3, max_len=3, n_dep_labels=3,
+                       temperature=0.05, seed=1), 1e-6),
+            (SynthSpec(n_sentences=1, min_len=40, max_len=40, n_dep_labels=12,
+                       temperature=0.6, seed=2), 1e-2),
         ]
         while len(specs) < 120:
             lo = int(rng.integers(3, 41))
-            specs.append(SynthSpec(
-                n_sentences=int(rng.integers(1, 4)),
-                min_len=lo,
-                max_len=int(rng.integers(lo, 41)),
-                n_dep_labels=int(rng.integers(3, 13)),
-                temperature=float(rng.uniform(0.05, 0.6)),
-                prob_floor=float(10 ** rng.uniform(-6, -2)),
-                seed=int(rng.integers(0, 2**31)),
-            ))
+            n_sentences = int(rng.integers(1, 4))
+            max_len = int(rng.integers(lo, 41))
+            n_dep_labels = int(rng.integers(3, 13))
+            temperature = float(rng.uniform(0.05, 0.6))
+            floor = float(10 ** rng.uniform(-6, -2))
+            spec = SynthSpec(n_sentences=n_sentences, min_len=lo, max_len=max_len,
+                             n_dep_labels=n_dep_labels, temperature=temperature,
+                             seed=int(rng.integers(0, 2**31)))
+            specs.append((spec, floor))
         failed = 0
-        for i, spec in enumerate(specs):
+        for i, (spec, floor) in enumerate(specs):
+            monkeypatch.setattr(dataio, "PROB_FLOOR", floor)
             try:
                 expected = synth_generate_per_cell(spec)
             except RuntimeError as exc:
