@@ -53,7 +53,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         temperature=args.temperature,
         seed=args.seed,
     )
-    data = dataio.synth_generate(spec)
+    try:
+        data = dataio.synth_generate(spec)
+    except RuntimeError as exc:  # a gold arc fell below the storage floor
+        raise CliError(str(exc)) from exc
     paths = dataio.synth_write(data, args.out_dir)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")

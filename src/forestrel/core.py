@@ -4,8 +4,9 @@ Positions within a sentence are 1-based; position 0 is an implicit ROOT
 pseudo-token that may head words but never modifies anything.  Mention spans
 are half-open ``[start, end)`` intervals over 1-based positions.  All types
 here are immutable after construction and safe to share between workers.
-Arc probabilities and dependency forests share one form, four read-only numpy
-arrays in canonical order, and one array check (``_ArcSet``); everything
+Arc probabilities, dependency forests and trees share one form, four
+read-only numpy arrays in canonical order, and one array check (``_ArcSet``);
+a tree is a forest whose check adds one rule, one head per word.  Everything
 downstream reads those arrays; one modifier's entries are the run that
 ``np.searchsorted`` finds in ``modifier``.  Labels reach the check as
 vocabulary indices: rows from callers are split into columns (files hold
@@ -176,6 +177,24 @@ def _check_list(value: object, field: str, kind: type) -> list:
     return _check_columns((value,), ((field, kind),), "item")[0]
 
 
+def _arc_key(n: int, n_labels: int, modifier, head, label) -> np.ndarray:
+    """One int64 per entry: with head in 0..n and label in 0..L-1, it orders
+    entries by (modifier, head, label) and is equal exactly where all three are."""
+    return (modifier * (n + 1) + head) * n_labels + label
+
+
+def _check_one_head(what: str, sentence_id: str, n: int, modifier: np.ndarray) -> None:
+    """The tree rule: fail unless each position 1..n is the modifier of exactly
+    one entry (``a tree needs one head per word; 's1' position 3 has 2 heads``)."""
+    heads = np.bincount(modifier, minlength=n + 1)
+    wrong = np.flatnonzero(heads[1:] != 1)
+    if wrong.size:
+        m = int(wrong[0]) + 1
+        raise ValueError(
+            f"{what} needs one head per word; {sentence_id!r} position {m} has {heads[m]} heads"
+        )
+
+
 class _ArcSet:
     """The labeled arcs of one sentence as four read-only arrays.
 
@@ -258,9 +277,7 @@ class _ArcSet:
         modifier = np.where(bad, -1 - np.arange(len(label)), modifier).astype(np.int64)
         head = np.where(bad, 0, head).astype(np.int64)
         label = np.where(bad, 0, label).astype(np.int64)
-        # head is in 0..n and label in 0..L-1, so one int64 orders entries
-        # by (modifier, head, label) and is equal exactly where all three are.
-        key = (modifier * (n + 1) + head) * n_labels + label
+        key = _arc_key(n, n_labels, modifier, head, label)
         order = np.argsort(key, kind="stable")
         bad[order[1:]] |= np.diff(key[order]) == 0
         if bad.any():
@@ -279,11 +296,11 @@ class _ArcSet:
                 raise ValueError(f"probability {p} for {(m, h, name)} not in (0, 1]")
             raise ValueError(f"duplicate arc entry {(m, h, name)}")
         prob = prob.astype(np.float64)
-        self._check_input_order(n, modifier, prob)
+        self._check_input_order(sentence_id, n, modifier, prob)
         columns = (modifier, head, label, prob)
         self._keep(sentence_id, n, vocab, *(column[order] for column in columns))
 
-    def _check_input_order(self, n: int, modifier: np.ndarray, prob: np.ndarray) -> None:
+    def _check_input_order(self, sentence_id: str, n: int, modifier, prob) -> None:
         """A subclass's further rules, on the checked columns in input order."""
 
     def _keep(self, sentence_id: str, n: int, vocab: LabelVocab, *columns: np.ndarray) -> None:
@@ -292,13 +309,18 @@ class _ArcSet:
         for column in columns:
             column.flags.writeable = False
 
-    def _subset(self, cls: type, keep: np.ndarray):
-        """The entries where ``keep`` holds, as a ``cls``: a subset of checked
-        entries in canonical order is checked and canonical already."""
+    @classmethod
+    def _kept(cls, sentence_id: str, n: int, vocab: LabelVocab, *columns: np.ndarray):
+        """Checked columns in canonical order as a ``cls``, not checked again."""
         arcs = cls.__new__(cls)
-        columns = (self.modifier, self.head, self.label, self.prob)
-        arcs._keep(self.sentence_id, self.n, self.vocab, *(column[keep] for column in columns))
+        arcs._keep(sentence_id, n, vocab, *columns)
         return arcs
+
+    def _subset(self, cls: type, keep: np.ndarray):
+        """The entries that ``keep`` selects, as a ``cls``: a subset of checked
+        entries in canonical order is checked and canonical already."""
+        columns = (self.modifier, self.head, self.label, self.prob)
+        return cls._kept(self.sentence_id, self.n, self.vocab, *(c[keep] for c in columns))
 
     def _columns(self) -> dict[str, list]:
         """``iter_entries`` as one list per ``_ARC_FIELDS`` field (the file layout)."""
@@ -332,7 +354,7 @@ class ArcProbabilities(_ArcSet):
 
     __slots__ = ()
 
-    def _check_input_order(self, n: int, modifier: np.ndarray, prob: np.ndarray) -> None:
+    def _check_input_order(self, sentence_id: str, n: int, modifier, prob) -> None:
         mass = np.bincount(modifier, weights=prob, minlength=n + 1)
         over = np.flatnonzero(mass[modifier] > 1.0 + MASS_TOLERANCE)
         if over.size:
@@ -360,17 +382,6 @@ class DependencyForest(_ArcSet):
 
     __slots__ = ()
 
-    @classmethod
-    def from_edges(
-        cls, sentence_id: str, n: int, edges: Iterable[DependencyEdge], vocab: LabelVocab
-    ) -> "DependencyForest":
-        """Build a forest, deduplicating repeated triples (first prob wins)."""
-        kept: dict[tuple[int, str, int], DependencyEdge] = {}
-        for e in edges:
-            kept.setdefault(e.triple, e)
-        rows = [(e.modifier, e.head, e.label, e.prob) for e in kept.values()]
-        return cls(sentence_id, n, vocab, rows)
-
     @property
     def edges(self) -> tuple[DependencyEdge, ...]:
         """The arcs as edges, in canonical order."""
@@ -386,41 +397,35 @@ class DependencyForest(_ArcSet):
         return len(self.prob)
 
 
-def tree_log_score(edges: Iterable[DependencyEdge]) -> float:
-    """Sum of ln(prob) in ascending-modifier order.
+class DependencyTree(DependencyForest):
+    """A forest with exactly one labeled head per token position, so its
+    entries are in modifier order.  Acyclicity and projectivity are
+    ``check_tree``'s."""
 
-    Every scorer in the toolkit funnels through this helper so identical edge
-    sets always produce identical floats, which keeps tie handling consistent.
-    """
-    return sum(math.log(e.prob) for e in sorted(edges, key=lambda e: e.modifier))
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class DependencyTree:
-    """A projective analysis: exactly one labeled head per token position."""
-
-    edges: tuple[DependencyEdge, ...]
+    def _check_input_order(self, sentence_id: str, n: int, modifier, prob) -> None:
+        _check_one_head("a tree", sentence_id, n, modifier)
 
     @classmethod
     def from_edges(cls, edges: Iterable[DependencyEdge]) -> "DependencyTree":
-        return cls(tuple(sorted(edges, key=lambda e: e.modifier)))
+        """A tree of ``len(edges)`` words with no sentence id under a vocabulary
+        of the edges' own labels (one entry per modifier: the order ignores it).
+        Only the benchmark's K=1 check calls it; ROADMAP item 2 retires it."""
+        edges = list(edges)
+        vocab = LabelVocab(tuple(dict.fromkeys(e.label for e in edges)), (NONE_RELATION,))
+        return cls("", len(edges), vocab, [(e.modifier, e.head, e.label, e.prob) for e in edges])
 
     @property
     def log_score(self) -> float:
-        """``tree_log_score`` of the edges."""
-        return tree_log_score(self.edges)
-
-    @property
-    def n(self) -> int:
-        return len(self.edges)
+        """Sum of ``math.log(prob)`` in modifier order.  Equal trees give equal
+        floats (``np.log`` can differ in the last bit), and the decoder's sort
+        and tie order depend on those bits."""
+        return sum(map(math.log, self.prob.tolist()))
 
     def parents(self) -> list[int]:
         """Head vector: entry ``m - 1`` is the head of position ``m``."""
-        return [e.head for e in self.edges]
-
-    def _columns(self) -> dict[str, list]:
-        """One list per ``_ARC_FIELDS`` field, in modifier order (the file layout)."""
-        return {field: [getattr(e, field) for e in self.edges] for field, _ in _ARC_FIELDS}
+        return self.head.tolist()
 
 
 def ancestors_of(parents: Sequence[int], position: int) -> set[int]:
@@ -464,27 +469,11 @@ def is_well_formed_tree(parents: Sequence[int]) -> bool:
 
 
 def check_tree(tree: DependencyTree) -> list[str]:
-    """Return human-readable invariant violations (empty list means valid)."""
-    violations: list[str] = []
-    n = len(tree.edges)
-    mods = [e.modifier for e in tree.edges]
-    if sorted(mods) != list(range(1, n + 1)):
-        violations.append(f"modifiers {sorted(mods)} do not cover 1..{n} exactly once")
-        return violations
-    if list(mods) != sorted(mods):
-        violations.append("edges are not sorted by modifier")
-    for e in tree.edges:
-        if not 0 <= e.head <= n:
-            violations.append(f"head {e.head} out of range 0..{n}")
-        if e.head == e.modifier:
-            violations.append(f"self-arc at position {e.modifier}")
-        if not 0.0 < e.prob <= 1.0:
-            violations.append(f"probability {e.prob} for modifier {e.modifier} not in (0, 1]")
-    if violations:
-        return violations
-    if not is_well_formed_tree(tree.parents()):
-        violations.append("head vector is cyclic or non-projective")
-    return violations
+    """Acyclicity and projectivity violations (empty list means valid); the
+    tree's constructor has checked every other rule."""
+    if is_well_formed_tree(tree.parents()):
+        return []
+    return ["head vector is cyclic or non-projective"]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ Formats::
 Arc, forest and gold-tree files share one record layout: one list per field
 of an entry, in canonical (modifier, head, label-index) order, which makes
 load-then-write byte-identical.  A tree is a forest with exactly one head
-per token.  One writer and one reader serve all three files.
+per token (``DependencyTree`` checks it), and the tree reader adds only the
+acyclicity and projectivity of ``check_tree``.  One writer and one reader
+serve all three files.
 
 Readers check JSON types first: each line and each mention must be a JSON
 object; positions, ``n`` and span ends must be ints (not bool, float or str),
@@ -26,14 +28,15 @@ in a column, the 1-based entry.  Arc columns must be lists of equal length;
 a missing one is named (``arcs.jsonl:3: 'prob'``), so a line in the row
 layout of earlier versions (``"arcs"`` or ``"edges"`` rows) fails and must
 be rewritten.  Checked columns go as decoded to the one check that
-``ArcProbabilities`` and ``DependencyForest`` share, which maps label names
-to vocabulary indices; a duplicate (modifier, head, label) entry fails in
-any of the three files.
+``ArcProbabilities``, ``DependencyForest`` and ``DependencyTree`` share,
+which maps label names to vocabulary indices; a duplicate (modifier, head,
+label) entry fails in any of the three files.
 
 The synthetic generator scores each sentence as whole arrays: one Gumbel
 draw of shape (n, n·L), a softmax per row, and one ``np.nonzero`` for the
 entries above the floor, whose modifier, head and label-index arrays go to
-the same check without building rows.
+the same check without building rows; the gold tree is the subset of those
+checked entries that the gold head vector and labels pick.
 
 Every JSONL file is written by one writer through ``atomic_open``: a file is
 either the old one or the complete new one, never a truncated mix.
@@ -54,7 +57,6 @@ import numpy as np
 from .core import (
     _ARC_FIELDS,
     ArcProbabilities,
-    DependencyEdge,
     DependencyForest,
     DependencyTree,
     LabelVocab,
@@ -269,10 +271,7 @@ def save_trees(trees_by_id: dict[str, DependencyTree], path: str | Path) -> None
 
 
 def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: Sequence) -> DependencyTree:
-    forest = DependencyForest._from_columns(sid, n, vocab, columns)
-    if forest.num_edges != n:
-        raise DataFormatError(f"tree for {sid!r} has {forest.num_edges} edges for {n} tokens")
-    tree = DependencyTree.from_edges(forest.edges)
+    tree = DependencyTree._from_columns(sid, n, vocab, columns)
     problems = check_tree(tree)
     if problems:
         raise DataFormatError("; ".join(problems))
@@ -280,7 +279,8 @@ def _tree_from_columns(sid: str, n: int, vocab: LabelVocab, columns: Sequence) -
 
 
 def load_trees(path: str | Path, vocab: LabelVocab) -> dict[str, DependencyTree]:
-    """Read trees stored in the forest format, enforcing tree invariants."""
+    """Read trees stored in the forest format: one head per word, acyclic and
+    projective."""
     return _read_arc_records(path, vocab, _tree_from_columns)
 
 
@@ -457,8 +457,8 @@ def synth_generate(spec: SynthSpec) -> SynthData:
         instances.append(instance)
         n = len(parents)
         rows = np.arange(n)
-        gold_head = np.array(parents)
-        gold_cell = (gold_head - (gold_head > rows + 1)) * n_labels + np.array(labels)
+        gold_head, gold_label = np.array(parents), np.array(labels)
+        gold_cell = (gold_head - (gold_head > rows + 1)) * n_labels + gold_label
         scores = rng.gumbel(size=(n, n * n_labels))
         scores[rows, gold_cell] += 1.0 / spec.temperature
         scores -= scores.max(axis=1, keepdims=True)
@@ -477,11 +477,11 @@ def synth_generate(spec: SynthSpec) -> SynthData:
         head = cell // n_labels
         head += head >= modifier
         columns = (modifier, head, cell % n_labels, probs[row, cell])
-        arc_probs[sid] = ArcProbabilities._from_arrays(sid, n, vocab, columns)
-        gold_trees[sid] = DependencyTree.from_edges(
-            DependencyEdge(h, vocab.dep_labels[li], m, p)
-            for m, (h, li, p) in enumerate(zip(parents, labels, gold.tolist()), start=1)
-        )
+        arcs = arc_probs[sid] = ArcProbabilities._from_arrays(sid, n, vocab, columns)
+        # Every gold arc is stored, so the gold tree is a subset of the arcs.
+        at = arcs.modifier - 1
+        is_gold = (arcs.head == gold_head[at]) & (arcs.label == gold_label[at])
+        gold_trees[sid] = arcs._subset(DependencyTree, is_gold)
     return SynthData(vocab, tuple(instances), arc_probs, gold_trees)
 
 

@@ -225,7 +225,11 @@ def _graph_operators(
     n, num_labels = sum(sizes), graphs[0].vocab.num_dep_labels
     width = 2 * num_labels
     rows = np.repeat(np.cumsum([0] + sizes[:-1]) - 1, [len(g.prob) for g in graphs])
-    h = np.concatenate([g.head for g in graphs]) + rows  # state rows
+    h = np.concatenate([g.head for g in graphs])
+    if not h.all():
+        sid = next(g.sentence_id for g in graphs if not g.head.all())
+        raise ValueError(f"graph {sid!r} holds ROOT arcs; pass build_gnn_graph's result")
+    h += rows  # state rows
     m = np.concatenate([g.modifier for g in graphs]) + rows
     labels = np.concatenate([g.label for g in graphs])
     probs = np.concatenate([g.prob for g in graphs])

@@ -16,12 +16,14 @@ K best through K+1 row-wise argmax rounds.  Edge sets are rebuilt from the
 backpointers only where the tie rule needs them and for the goal item's K
 derivations.  Arc scores are log-probabilities of each arc's best label, so
 K-best diversity is purely structural; the dense arc tables and edgewise
-thresholding are array operations on the arc arrays.
+thresholding are array operations on the arc arrays.  An edge is the index
+of its arc's best entry, and a goal derivation is the tree of its entries.
 
 Ties are broken deterministically everywhere: compare log-scores first, then
-the lexicographically sorted (modifier, head, label-index) edge list.  The
-tests check the decoder against an exhaustive enumeration of head vectors
-(``tests/reference.py``).
+the sorted entry indices, which rank like the lexicographically sorted
+(modifier, head, label-index) edge list because entries are in canonical
+order.  The tests check the decoder against an exhaustive enumeration of
+head vectors (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 
 from .core import (
     ArcProbabilities,
-    DependencyEdge,
     DependencyForest,
     DependencyTree,
     LabelVocab,
     RelationInstance,
+    _arc_key,
     check_alignment,
 )
 
@@ -87,14 +89,14 @@ def inject_fallback(probs: ArcProbabilities, eps: float) -> ArcProbabilities:
     return ArcProbabilities(probs.sentence_id, probs.n, probs.vocab, entries)
 
 
-def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], list[list[float]]]:
-    """Dense (head, modifier) tables of best-label log-prob, label index, prob.
+def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]]]:
+    """Dense (head, modifier) tables of the best label's log-prob and entry index.
 
     Each arc's entries are one run of the canonical arrays, in vocabulary
     order; the first to reach the run's maximum wins, so exact probability
     ties go to the label that comes first in the vocabulary.
-    Logs come from ``math.log``, as in ``tree_log_score`` (``np.log`` can
-    differ in the last bit).  Absent arcs have log-prob -inf.
+    Logs come from ``math.log``, as in ``DependencyTree.log_score`` (``np.log``
+    can differ in the last bit).  Absent arcs have log-prob -inf and entry -1.
     """
     size = probs.n + 1
     run_start = np.diff(probs.modifier * size + probs.head, prepend=-1) != 0
@@ -103,13 +105,11 @@ def _arc_tables(probs: ArcProbabilities) -> tuple[np.ndarray, list[list[int]], l
     at_top = np.flatnonzero(probs.prob == top[run])
     best = at_top[np.diff(run[at_top], prepend=-1) != 0]
     cells = (probs.head[best], probs.modifier[best])
-    label_idx = np.full((size, size), -1)
-    label_idx[cells] = probs.label[best]
-    prob = np.zeros((size, size))
-    prob[cells] = probs.prob[best]
+    entry = np.full((size, size), -1)
+    entry[cells] = best
     logp = np.full((size, size), NEG_INF)
     logp[cells] = list(map(math.log, probs.prob[best].tolist()))
-    return logp, label_idx.tolist(), prob.tolist()
+    return logp, entry.tolist()
 
 
 class _Chart:
@@ -125,19 +125,19 @@ class _Chart:
     ``_subspans`` decodes into split offset ``t`` and the ranks ``a`` and
     ``b`` of its two sub-derivations.  Each item's derivations are sorted
     strictly descending under the tie rule, and there are at most ``k``.
-    Edge sets are rebuilt from the backpointers only on demand.
+    Edge sets, sorted tuples of ``entry[head][modifier]`` indices, are
+    rebuilt from the backpointers only on demand.
     """
 
-    def __init__(self, n: int, k: int, label_idx: list[list[int]], prob: list[list[float]]) -> None:
+    def __init__(self, n: int, k: int, entry: list[list[int]]) -> None:
         shape = (2, 2, n + 1, n + 1, k)
         self.k = k
         self.score = np.full(shape, NEG_INF)
         self.score[:, COMPLETE, :, 0, 0] = 0.0  # the empty derivation
         self.by_end = self.score.copy()
         self.back = np.zeros(shape, dtype=np.min_scalar_type(n * k * k))
-        self.label_idx = label_idx
-        self.prob = prob
-        self._edges: dict[tuple[int, int, int, int, int], tuple[tuple[int, int, int], ...]] = {}
+        self.entry = entry
+        self._edges: dict[tuple[int, int, int, int, int], tuple[int, ...]] = {}
 
     def _subspans(self, direction: int, shape: int, i: int, j: int, c: int) -> tuple[tuple, tuple]:
         """The ``(direction, shape, start, end, rank)`` sub-derivations candidate ``c`` joins."""
@@ -155,11 +155,11 @@ class _Chart:
         if shape == COMPLETE:
             return left + right
         if direction == RIGHT:
-            return left + right + ((j, i, self.label_idx[i][j]),)
-        return ((i, j, self.label_idx[j][i]),) + left + right
+            return left + right + (self.entry[i][j],)
+        return (self.entry[j][i],) + left + right
 
-    def edges(self, item: tuple[int, int, int, int, int]) -> tuple[tuple[int, int, int], ...]:
-        """Sorted (modifier, head, label-index) edges of derivation ``(direction, shape, i, j, rank)``."""
+    def edges(self, item: tuple[int, int, int, int, int]) -> tuple[int, ...]:
+        """Sorted entry indices of derivation ``(direction, shape, i, j, rank)``."""
         memo = self._edges
         todo = [item]
         while todo:
@@ -247,8 +247,8 @@ def _build_chart(probs: ArcProbabilities, k: int) -> _Chart:
     item keeps the top K of all its splits x K x K candidates.
     """
     n = probs.n
-    logp, label_idx, prob = _arc_tables(probs)
-    chart = _Chart(n, k, label_idx, prob)
+    logp, entry = _arc_tables(probs)
+    chart = _Chart(n, k, entry)
     start, end = chart.score, chart.by_end
     for length in range(1, n + 1):
         rows = n + 1 - length
@@ -271,13 +271,11 @@ def _build_chart(probs: ArcProbabilities, k: int) -> _Chart:
 
 
 def _goal_trees(chart: _Chart, probs: ArcProbabilities) -> list[tuple[DependencyTree, tuple]]:
-    """The goal item's derivations as trees, each with its sorted edge key."""
-    labels = probs.vocab.dep_labels
-    out = []
-    for _, key in chart.hypotheses(RIGHT, COMPLETE, 0, probs.n):
-        edges = (DependencyEdge(h, labels[li], m, chart.prob[h][m]) for m, h, li in key)
-        out.append((DependencyTree.from_edges(edges), key))
-    return out
+    """The goal item's derivations as trees, each with its sorted entry indices."""
+    return [
+        (probs._subset(DependencyTree, list(key)), key)
+        for _, key in chart.hypotheses(RIGHT, COMPLETE, 0, probs.n)
+    ]
 
 
 def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
@@ -312,10 +310,11 @@ def decode_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
 def merge_trees(
     trees: Sequence[DependencyTree], vocab: LabelVocab, sentence_id: str = ""
 ) -> DependencyForest:
-    """Union the edges of several trees over the same sentence into a forest.
+    """Union the entries of several trees over the same sentence into a forest.
 
     Trees should be passed best-first; when the same (head, label, modifier)
     triple occurs in several trees the first occurrence's probability is kept.
+    Labels indexed in another vocabulary are read under ``vocab`` by name.
     """
     if not trees:
         raise ValueError("merge_trees requires at least one tree")
@@ -323,8 +322,13 @@ def merge_trees(
     for t in trees[1:]:
         if t.n != n:
             raise ValueError(f"mixed sentence lengths in merge_trees: {n} vs {t.n}")
-    all_edges = (e for t in trees for e in t.edges)
-    return DependencyForest.from_edges(sentence_id, n, all_edges, vocab)
+    if any(t.vocab.dep_labels != vocab.dep_labels for t in trees):
+        trees = [DependencyTree(t.sentence_id, n, vocab, t.iter_entries()) for t in trees]
+    fields = zip(*((t.modifier, t.head, t.label, t.prob) for t in trees))
+    columns = [np.concatenate(field) for field in fields]
+    # np.unique keeps each key's first index in canonical key order.
+    _, first = np.unique(_arc_key(n, vocab.num_dep_labels, *columns[:3]), return_index=True)
+    return DependencyForest._kept(sentence_id, n, vocab, *(c[first] for c in columns))
 
 
 def edgewise_forest(probs: ArcProbabilities, gamma: float) -> DependencyForest:

@@ -30,6 +30,7 @@ from .core import (
     NONE_RELATION,
     RelationInstance,
     UNK_TOKEN,
+    _check_one_head,
     check_alignment,
 )
 from .encoder import (
@@ -211,11 +212,8 @@ def _encode_instances(
         for idx, inst in enumerate(instances):
             rel_idx = vocab.relation_index(inst.relation)
             if structure == "tree":
-                heads = np.bincount(forests[idx].modifier, minlength=inst.sentence.n + 1)
-                if (heads[1:] != 1).any():
-                    m = int(np.argmax(heads[1:] != 1)) + 1
-                    raise ValueError(f"structure 'tree' needs one head per word; "
-                                     f"{inst.sentence.id!r} position {m} has {heads[m]} heads")
+                _check_one_head("structure 'tree'", inst.sentence.id, inst.sentence.n,
+                                forests[idx].modifier)
             graph = build_gnn_graph(forests[idx], vocab) if use_graph else None
             tags = None
             if need_tags:

@@ -5,15 +5,16 @@ the array-scored generator is tested against.
 ``brute_force_kbest`` enumerates head vectors instead of filling a chart, and
 reads the arc probabilities' four canonical arrays through ``heads`` and
 ``candidates`` rather than through ``forest._arc_tables``, so a fault in the
-decoder's tables or chart cannot hide in the reference as well.
+decoder's tables or chart cannot hide in the reference as well.  It builds
+each tree through the row constructor, not as a subset of the arc arrays.
 
 Both decoders break ties the same way: compare log-scores first, then the
 lexicographically sorted (modifier, head, label-index) edge list.  Chart
-scores are sums in derivation order, while ``tree_log_score`` (and with it
-``brute_force_kbest``) sums in modifier order.  Trees whose scores tie only in
-exact arithmetic can therefore round differently in the two, and on such
-grids the chart and this reference may return different, equally scored
-K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference for the
+scores are sums in derivation order, while ``DependencyTree.log_score`` (and
+with it ``brute_force_kbest``) sums in modifier order.  Trees whose scores
+tie only in exact arithmetic can therefore round differently in the two, and
+on such grids the chart and this reference may return different, equally
+scored K-sets.  Elsewhere ``brute_force_kbest`` is an independent reference for the
 chart decoder.
 
 ``synth_generate_per_cell`` scores one modifier at a time and one
@@ -21,6 +22,10 @@ chart decoder.
 the row constructor from label names; ``synth_generate`` scores a sentence
 as whole arrays and hands label indices to the array constructor.  They
 share only the sentence sampler, so their files must match byte for byte.
+
+``forest_from_edges`` builds an arc set from ``DependencyEdge`` rows, keeping
+the first of repeated (head, label, modifier) triples: the tests' shorthand
+for hand-written forests and trees.
 """
 
 import itertools
@@ -28,11 +33,30 @@ import itertools
 import numpy as np
 
 from forestrel import dataio
-from forestrel.core import ArcProbabilities, DependencyEdge, DependencyTree, is_well_formed_tree
+from forestrel.core import (
+    ArcProbabilities,
+    DependencyEdge,
+    DependencyForest,
+    DependencyTree,
+    LabelVocab,
+    is_well_formed_tree,
+)
 from forestrel.dataio import SynthData, SynthSpec, _synth_instance, synth_vocab
 from forestrel.forest import DecodingError, decode_kbest
 
 BRUTE_FORCE_MAX_N = 8
+
+
+def forest_from_edges(
+    sentence_id: str, n: int, edges, vocab: LabelVocab, cls: type = DependencyForest
+):
+    """A ``cls`` of the edges through the row constructor; of repeated
+    (head, label, modifier) triples the first edge's probability is kept."""
+    kept: dict[tuple[int, str, int], DependencyEdge] = {}
+    for e in edges:
+        kept.setdefault(e.triple, e)
+    rows = [(e.modifier, e.head, e.label, e.prob) for e in kept.values()]
+    return cls(sentence_id, n, vocab, rows)
 
 
 def heads(probs: ArcProbabilities, modifier: int) -> tuple[int, ...]:
@@ -96,13 +120,14 @@ def brute_force_kbest(probs: ArcProbabilities, k: int) -> list[DependencyTree]:
     for parents in itertools.product(*head_choices):
         if not is_well_formed_tree(parents):
             continue
-        edges = []
+        rows = []
         key = []
         for m, h in enumerate(parents, start=1):
             label, p = best_label(probs, h, m)  # type: ignore[misc]
-            edges.append(DependencyEdge(h, label, m, p))
+            rows.append((m, h, label, p))
             key.append((m, h, vocab.dep_index(label)))
-        scored.append((DependencyTree.from_edges(edges), tuple(sorted(key))))
+        tree = DependencyTree(probs.sentence_id, probs.n, vocab, rows)
+        scored.append((tree, tuple(sorted(key))))
     scored.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in scored[:k]]
 
@@ -144,8 +169,8 @@ def synth_generate_per_cell(spec: SynthSpec) -> SynthData:
                 if p > dataio.PROB_FLOOR:
                     entries.append((m, h, vocab.dep_labels[li], p))
         arc_probs[sid] = ArcProbabilities(sid, n, vocab, entries)
-        gold_trees[sid] = DependencyTree.from_edges(
-            DependencyEdge(parents[m - 1], vocab.dep_labels[labels[m - 1]], m, gold_edge_prob[m])
+        gold_trees[sid] = DependencyTree(sid, n, vocab, [
+            (m, parents[m - 1], vocab.dep_labels[labels[m - 1]], gold_edge_prob[m])
             for m in range(1, n + 1)
-        )
+        ])
     return SynthData(vocab, tuple(instances), arc_probs, gold_trees)

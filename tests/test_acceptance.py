@@ -11,7 +11,7 @@ import pytest
 
 from conftest import make_arc_probs
 from forestrel.cli import main as cli_main
-from forestrel.core import DependencyEdge, DependencyForest
+from forestrel.core import DependencyEdge
 from forestrel.dataio import (
     SynthSpec,
     load_arc_probs,
@@ -41,7 +41,7 @@ from forestrel.forest import (
     merge_trees,
 )
 from forestrel.training import TrainConfig, gradient_check, train
-from reference import brute_force_kbest, decode_1best
+from reference import brute_force_kbest, decode_1best, forest_from_edges
 
 
 def _verdict(name, ok, detail):
@@ -178,7 +178,7 @@ def test_c06_unit_weights_reproduce_unweighted_bitwise():
     vocab = data.vocab
     base = edgewise_forest(data.arc_probs[inst.sentence.id], 0.05)
     assert base.num_edges >= 2
-    unit = DependencyForest.from_edges(
+    unit = forest_from_edges(
         base.sentence_id,
         base.n,
         [DependencyEdge(e.head, e.label, e.modifier, 1.0) for e in base.edges],
@@ -209,7 +209,7 @@ def test_c06_unit_weights_reproduce_unweighted_bitwise():
     non_root = next(i for i, e in enumerate(damped_edges) if e.head != 0)
     e = damped_edges[non_root]
     damped_edges[non_root] = DependencyEdge(e.head, e.label, e.modifier, 0.5)
-    damped = DependencyForest.from_edges(base.sentence_id, base.n, damped_edges, vocab)
+    damped = forest_from_edges(base.sentence_id, base.n, damped_edges, vocab)
     graph_damped = build_gnn_graph(damped, vocab)
     plain_d = forward_instance(params, config_plain, [token_ids], *spans, [graph_damped])
     heavy_d = forward_instance(params, config_weighted, [token_ids], *spans, [graph_damped])

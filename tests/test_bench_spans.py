@@ -1,15 +1,19 @@
-"""The benchmark's span tracer finds every span a workload expects.
+"""The benchmark's span tracer finds every span a workload expects, and the
+kbest-long check still reads decoded forests as the benchmark does.
 
 ``bench/spans.py`` wraps forestrel's public functions and names each span
 after the module attribute it wrapped.  A renamed, aliased or privatised
 function therefore loses its span, and the traced benchmark run fails; this
-test fails first.
+test fails first.  ``KbestLong.check`` builds each K=1 forest into a tree
+through the public tree API; a change to that API shows here before it
+breaks a benchmark round.
 """
 
 import importlib
 import importlib.util
 import inspect
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -17,9 +21,11 @@ import pytest
 
 import numpy as np
 
-from forestrel.core import DependencyEdge, DependencyForest
-from forestrel.dataio import SynthSpec, save_arc_probs, synth_generate
+from forestrel.core import DependencyEdge
+from forestrel.dataio import SynthSpec, save_arc_probs, save_vocab, synth_generate, write_forests
+from forestrel.forest import decode_kbest, merge_trees
 from forestrel.encoder import ModelConfig, init_params
+from reference import forest_from_edges
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -82,7 +88,7 @@ def test_graph_counters_count_words_and_non_root_arcs(vocab5):
     # graph_edges_per_word reads len(graph.edges): one row per arc, whatever
     # else the graph stores.
     spans = _load_bench_module("spans")
-    forest = DependencyForest.from_edges(
+    forest = forest_from_edges(
         "s",
         6,
         [
@@ -152,3 +158,77 @@ def test_forward_instance_span_is_named_by_mode(vocab5):
         tracer.uninstall()
     names = [span[0] for span in tracer.spans if span[0].startswith("encoder.forward_instance")]
     assert names == ["encoder.forward_instance.train", "encoder.forward_instance.eval"]
+
+
+def _kbest_long_files(tmp_path):
+    """kbest-long's inputs and one round's K=1, K=5 and single-call K=5
+    forest files for a few short sentences."""
+    data = synth_generate(SynthSpec(n_sentences=4, min_len=6, max_len=9, seed=2))
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    save_vocab(data.vocab, inputs / "vocab.json")
+    save_arc_probs(data.arc_probs, inputs / "arcs.jsonl")
+    for k in (1, 5):
+        forests = {
+            sid: merge_trees(decode_kbest(probs, k), data.vocab, sid)
+            for sid, probs in data.arc_probs.items()
+        }
+        write_forests(forests, out / f"forests-k{k}.jsonl")
+    shutil.copy(out / "forests-k5.jsonl", out / "single-k5.jsonl")
+    return inputs, out
+
+
+def _kbest_long_failure(inputs, out):
+    """The problems ``KbestLong.check`` finds in one round, or the message of
+    the ``ValueError`` it raises (which ``bench/run.py`` turns into exit 1)."""
+    workloads = _load_bench_module("workloads")
+    rounds = [{"sha256": {}, "exit_codes": [0, 0], "wall_s": 1.0, "latencies_s": [0.001, 0.002]}]
+    try:
+        outcome = workloads.KbestLong().check({"dir": str(inputs), "sentences": 4}, rounds, out)
+    except ValueError as exc:
+        return str(exc)
+    assert (outcome.failed == 0) == (not outcome.problems)
+    return "; ".join(outcome.problems)
+
+
+def _second_head(record):
+    m, h = record["modifier"][1], record["head"][1]
+    record["head"].append(next(other for other in range(record["n"] + 1) if other not in (m, h)))
+    for column, value in (("modifier", m), ("label", record["label"][1]), ("prob", 0.5)):
+        record[column].append(value)
+
+
+def _cycle(record):
+    # The first word headed by another word becomes that word's head.
+    at = next(i for i, h in enumerate(record["head"]) if h != 0)
+    record["head"][record["head"][at] - 1] = record["modifier"][at]
+
+
+def _missing_arc(record):
+    for column in ("modifier", "head", "label", "prob"):
+        del record[column][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        (None, ""),
+        (_second_head, "needs one head per word"),
+        (_cycle, "cyclic or non-projective"),
+        (_missing_arc, "out of range"),
+    ],
+    ids=["decoded", "second-head", "cycle", "missing-arc"],
+)
+def test_kbest_long_check_reads_k1_forests_as_trees(tmp_path, corrupt, expected):
+    inputs, out = _kbest_long_files(tmp_path)
+    if corrupt is not None:
+        path = out / "forests-k1.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        corrupt(records[2])
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    failure = _kbest_long_failure(inputs, out)
+    if corrupt is None:
+        assert failure == ""
+    else:
+        assert expected in failure

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from forestrel import training
-from forestrel.core import DependencyEdge, DependencyForest, LabelVocab, RelationInstance, Sentence
+from forestrel.core import DependencyEdge, LabelVocab, RelationInstance, Sentence
 from forestrel.dataio import SynthSpec, synth_generate
 from forestrel.encoder import (
     ModelConfig,
@@ -29,6 +29,7 @@ from forestrel.encoder import (
 )
 from forestrel.forest import edgewise_forest
 from forestrel.training import TrainConfig, _gradient_check_chunk, train
+from reference import forest_from_edges
 
 # --------------------------------------------------------------------------
 # Per-instance reference
@@ -186,8 +187,8 @@ def _instances(rng, lengths, vocab=GRAD_VOCAB):
                     vocab.relations[int(rng.integers(len(vocab.relations)))],
                     tags,
                 ),
-                DependencyForest.from_edges(sid, n, tree_edges, vocab),
-                DependencyForest.from_edges(sid, n, forest_edges, vocab),
+                forest_from_edges(sid, n, tree_edges, vocab),
+                forest_from_edges(sid, n, forest_edges, vocab),
             )
         )
     return out

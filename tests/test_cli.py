@@ -435,6 +435,17 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: temperature must be a finite number > 0, got nan\n"
         assert not out.exists()
 
+    def test_gold_arc_below_the_storage_floor_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = main(["synth", "--out-dir", str(out), "--count", "30", "--seed", "18",
+                     "--temperature", "50"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: gold arc for 's00026' position 7 fell below the storage floor; "
+            "lower the temperature\n"
+        )
+        assert not out.exists()
+
 
 class TestGradcheckCommand:
     @pytest.mark.slow

@@ -16,10 +16,9 @@ from forestrel.core import (
     Sentence,
     check_tree,
     is_well_formed_tree,
-    tree_log_score,
     validate_instance,
 )
-from reference import candidates, heads
+from reference import candidates, forest_from_edges, heads
 
 
 class TestLabelVocab:
@@ -65,7 +64,7 @@ def test_sentence_needs_tokens():
         Sentence("s0", ())
 
 
-@pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest])
+@pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest, DependencyTree])
 def test_arc_set_needs_a_positive_length(cls, vocab5):
     with pytest.raises(ValueError, match="sentence length must be >= 1, got 0"):
         cls("s0", 0, vocab5, [])
@@ -187,19 +186,16 @@ class TestArrayConstructor:
 
 
 class TestTreeScore:
-    def test_log_score_is_order_independent_bitwise(self):
-        edges = [
-            DependencyEdge(0, "nsubj", 2, 0.9),
-            DependencyEdge(2, "amod", 1, 0.37),
-            DependencyEdge(2, "obj", 3, 0.11),
-        ]
-        forward = tree_log_score(edges)
-        backward = tree_log_score(list(reversed(edges)))
+    def test_log_score_is_order_independent_bitwise(self, vocab5):
+        entries = [(2, 0, "nsubj", 0.9), (1, 2, "amod", 0.37), (3, 2, "obj", 0.11)]
+        forward = DependencyTree("s", 3, vocab5, entries).log_score
+        backward = DependencyTree("s", 3, vocab5, entries[::-1]).log_score
         assert forward == backward  # identical float, not just close
+        assert forward == math.log(0.37) + math.log(0.9) + math.log(0.11)  # modifier order
 
-    def test_log_score_matches_sum_of_logs(self):
-        edges = [DependencyEdge(0, "amod", 1, 0.5), DependencyEdge(1, "obj", 2, 0.25)]
-        assert tree_log_score(edges) == pytest.approx(math.log(0.5) + math.log(0.25))
+    def test_log_score_matches_sum_of_logs(self, vocab5):
+        tree = DependencyTree("s", 2, vocab5, [(1, 0, "amod", 0.5), (2, 1, "obj", 0.25)])
+        assert tree.log_score == pytest.approx(math.log(0.5) + math.log(0.25))
 
     def test_from_edges_sorts_by_modifier(self):
         tree = DependencyTree.from_edges(
@@ -207,6 +203,8 @@ class TestTreeScore:
         )
         assert [e.modifier for e in tree.edges] == [1, 2]
         assert tree.parents() == [0, 1]
+        # no sentence id, and a vocabulary of the edges' own labels
+        assert (tree.sentence_id, tree.n, tree.vocab.dep_labels) == ("", 2, ("obj", "amod"))
 
 
 def _crosses(a1, a2):
@@ -270,23 +268,69 @@ class TestCheckTree:
     def test_valid_tree_has_no_violations(self):
         assert check_tree(self._tree()) == []
 
-    def test_modifier_coverage_violation(self):
-        tree = DependencyTree.from_edges(
-            [DependencyEdge(0, "nsubj", 2, 0.9), DependencyEdge(2, "amod", 3, 0.8)]
-        )
-        problems = check_tree(tree)
-        assert len(problems) == 1 and "do not cover" in problems[0]
+    def test_modifier_coverage_violation(self, vocab5):
+        # A word without exactly one head is not a tree: the constructor refuses it.
+        with pytest.raises(ValueError, match="^a tree needs one head per word; 's' position 3"):
+            DependencyTree("s", 3, vocab5, [(2, 0, "nsubj", 0.9), (1, 2, "amod", 0.8)])
+        with pytest.raises(ValueError, match="modifier 3 out of range 1..2"):
+            DependencyTree.from_edges(
+                [DependencyEdge(0, "nsubj", 2, 0.9), DependencyEdge(2, "amod", 3, 0.8)]
+            )
 
     def test_cycle_detected(self):
         tree = DependencyTree.from_edges(
             [DependencyEdge(2, "nsubj", 1, 0.9), DependencyEdge(1, "amod", 2, 0.8)]
         )
-        assert any("cyclic or non-projective" in p for p in check_tree(tree))
+        assert check_tree(tree) == ["head vector is cyclic or non-projective"]
+
+    def test_non_projective_tree_detected(self, vocab5):
+        # Arcs 3->1 and 4->2 cross; the head vector [3, 4, 0, 3] is acyclic.
+        entries = [(1, 3, "amod", 0.5), (2, 4, "obj", 0.5), (3, 0, "nsubj", 0.5), (4, 3, "obj", 1)]
+        tree = DependencyTree("s", 4, vocab5, entries)
+        assert tree.parents() == [3, 4, 0, 3]
+        assert check_tree(tree) == ["head vector is cyclic or non-projective"]
+
+
+class TestTreeHeads:
+    """A tree is a forest with exactly one head per word."""
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([(1, 0, "amod", 0.5), (2, 1, "obj", 0.5), (2, 0, "obj", 0.5)], "position 2 has 2"),
+            ([(1, 0, "amod", 0.5), (1, 2, "amod", 0.5)], "position 1 has 2"),
+            ([(2, 0, "obj", 0.5)], "position 1 has 0"),
+            ([], "position 1 has 0"),
+        ],
+    )
+    def test_constructors_refuse_other_than_one_head(self, vocab5, entries, message):
+        want = f"a tree needs one head per word; 's' {message} heads"
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            DependencyTree("s", 2, vocab5, entries)
+        if entries:
+            modifier, head, names, prob = map(np.array, zip(*entries))
+            label = np.array([vocab5.dep_index(name) for name in names])
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                DependencyTree._from_arrays("s", 2, vocab5, (modifier, head, label, prob))
+
+    def test_entry_rules_come_before_the_head_rule(self, vocab5):
+        with pytest.raises(ValueError, match="^self-arc at position 1$"):
+            DependencyTree("s", 2, vocab5, [(1, 1, "amod", 0.5), (1, 0, "amod", 0.5)])
+        with pytest.raises(ValueError, match="^duplicate arc entry"):
+            DependencyTree("s", 2, vocab5, [(1, 0, "amod", 0.5), (1, 0, "amod", 0.5)])
+
+    def test_a_tree_is_a_forest_in_modifier_order(self, vocab5):
+        entries = [(3, 1, "obj", 0.5), (1, 0, "amod", 0.4), (2, 1, "obj", 0.3)]
+        tree = DependencyTree("s", 3, vocab5, entries)
+        assert isinstance(tree, DependencyForest)
+        assert tree.modifier.tolist() == [1, 2, 3] and tree.parents() == [0, 1, 1]
+        assert tree.has_edge(1, "obj", 3) and tree.num_edges == 3
+        assert tree != DependencyForest("s", 3, vocab5, tree.iter_entries())
 
 
 class TestDependencyForest:
     def test_from_edges_deduplicates_keeping_first(self, vocab5):
-        forest = DependencyForest.from_edges(
+        forest = forest_from_edges(
             "s",
             2,
             [
@@ -300,7 +344,7 @@ class TestDependencyForest:
         assert forest.edges[0].prob == 0.5
 
     def test_canonical_edge_order(self, vocab5):
-        forest = DependencyForest.from_edges(
+        forest = forest_from_edges(
             "s",
             3,
             [
@@ -327,9 +371,7 @@ class TestDependencyForest:
             DependencyForest("s", 2, vocab5, [(1, 0, "amod", 0.0)])
 
     def test_has_edge(self, vocab5):
-        forest = DependencyForest.from_edges(
-            "s", 2, [DependencyEdge(0, "amod", 1, 0.5)], vocab5
-        )
+        forest = forest_from_edges("s", 2, [DependencyEdge(0, "amod", 1, 0.5)], vocab5)
         assert forest.has_edge(0, "amod", 1)
         assert not forest.has_edge(0, "obj", 1)
         assert not forest.has_edge(0, "punct", 1)
@@ -338,7 +380,7 @@ class TestDependencyForest:
     def test_equality_compares_content_within_one_class(self, vocab5):
         entries = [(1, 0, "amod", 0.4), (2, 1, "obj", 0.3)]
         forest = DependencyForest("s", 2, vocab5, entries)
-        same = DependencyForest.from_edges(
+        same = forest_from_edges(
             "s", 2, [DependencyEdge(1, "obj", 2, 0.3), DependencyEdge(0, "amod", 1, 0.4)], vocab5
         )
         assert forest == same and not forest != same

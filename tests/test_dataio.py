@@ -38,7 +38,7 @@ from forestrel.dataio import (
     write_forests,
 )
 from forestrel.forest import decode_kbest, edgewise_forest, merge_trees, oracle_las
-from reference import decode_1best, synth_generate_per_cell
+from reference import decode_1best, forest_from_edges, synth_generate_per_cell
 
 
 class TestVocabFile:
@@ -344,8 +344,9 @@ def test_row_layout_files_rewritten_as_columns_load_the_same(vocab5, tmp_path):
         assert str(info.value) == f"{path}:1: 'modifier'"
     probs = ArcProbabilities("s0", 2, vocab5, arc_rows)
     edges = [DependencyEdge(*row) for row in old["forests"][1]["edges"]]
-    forest = DependencyForest.from_edges("s0", 2, edges, vocab5)
-    tree = DependencyTree.from_edges(DependencyEdge(*row) for row in edge_rows)
+    forest = forest_from_edges("s0", 2, edges, vocab5)
+    tree_edges = [DependencyEdge(*row) for row in edge_rows]
+    tree = forest_from_edges("s0", 2, tree_edges, vocab5, DependencyTree)
     for name, expected in (("arcs", probs), ("forests", forest), ("gold", tree)):
         load, record = old[name]
         rows = record.get("arcs") or [[m, h, label, p] for h, label, m, p in record["edges"]]
@@ -467,13 +468,20 @@ class TestForestAndTreeFiles:
             load_trees(path, vocab5)
 
     def test_tree_file_rejects_wrong_edge_count(self, vocab5, tmp_path):
+        # A missing head and a second head, each on the file's second line.
         path = tmp_path / "trees.jsonl"
-        path.write_text(
-            json.dumps({"id": "s0", "n": 3, **_arcs((1, 0, "amod", 0.5))}) + "\n",
-            encoding="utf-8",
-        )
-        with pytest.raises(DataFormatError, match="1 edges for 3 tokens"):
-            load_trees(path, vocab5)
+        for entries, problem in (
+            ([(1, 0, "amod", 0.5)], "position 2 has 0 heads"),
+            ([(1, 0, "amod", 0.5), (2, 0, "obj", 0.5), (2, 1, "obj", 1)], "position 2 has 2 heads"),
+        ):
+            _write_rows(path, [
+                {"id": "s0", "n": 1, **_arcs((1, 0, "amod", 0.5))},
+                {"id": "s1", "n": 2, **_arcs(*entries)},
+            ])
+            with pytest.raises(DataFormatError) as info:
+                load_trees(path, vocab5)
+            assert str(info.value) == f"{path}:2: a tree needs one head per word; 's1' {problem}"
+            assert len(load_forests(path, vocab5)) == 2  # a forest may have any number of heads
 
 
 class TestAtomicWrites:

@@ -37,6 +37,7 @@ from forestrel.encoder import (
     token_ids_for,
 )
 from forestrel.forest import edgewise_forest
+from reference import forest_from_edges
 
 
 def _sigma(x):
@@ -49,7 +50,7 @@ def tiny_setup(vocab5):
         dim_word=3, dim_label=2, dim_hidden=2, steps=2, dropout=0.0, seed=1
     )
     params = init_params(config, vocab5, num_words=6)
-    forest = DependencyForest.from_edges(
+    forest = forest_from_edges(
         "s",
         4,
         [
@@ -323,6 +324,18 @@ class TestGraph:
         ]
         assert graph.prob.tolist() == [e.prob for e in non_root]
 
+    def test_a_graph_holding_root_arcs_is_refused(self, vocab5, tiny_setup):
+        # The forest itself in place of its graph: alone, its ROOT arc would
+        # index state row -1; after another graph, the other graph's last word.
+        config, params, forest, graph, token_ids = tiny_setup
+        raw = DependencyForest("t", forest.n, vocab5, forest.iter_entries())
+        message = r"^graph 't' holds ROOT arcs; pass build_gnn_graph's result$"
+        for graphs in ([raw], [graph, raw]):
+            count = len(graphs)
+            with pytest.raises(ValueError, match=message):
+                forward_instance(params, config, [token_ids] * count, [(1, 2)] * count,
+                                 [(3, 4)] * count, graphs)
+
     def test_labels_are_indexed_in_the_model_vocabulary(self, vocab5, tiny_setup):
         _, _, forest, graph, _ = tiny_setup
         reordered = LabelVocab(tuple(reversed(vocab5.dep_labels)), vocab5.relations, vocab5.ne_tags)
@@ -409,7 +422,7 @@ class TestMessages:
         assert m_dep[:, :9].sum() == pytest.approx(non_root_mass, rel=1e-12)
 
     def test_single_edge_formula(self, vocab5):
-        forest = DependencyForest.from_edges(
+        forest = forest_from_edges(
             "s", 3, [DependencyEdge(2, "obj", 3, 0.5)], vocab5
         )
         graph = build_gnn_graph(forest, vocab5)
@@ -431,7 +444,7 @@ class TestMessages:
         assert not m_head[[0, 1], :].any()
 
     def test_empty_graph_means_silence(self, vocab5):
-        forest = DependencyForest.from_edges(
+        forest = forest_from_edges(
             "s", 3, [DependencyEdge(0, "nsubj", 1, 0.9)], vocab5
         )
         graph = build_gnn_graph(forest, vocab5)
@@ -441,7 +454,7 @@ class TestMessages:
         assert not m.any()
 
     def test_weight_scales_messages(self, vocab5):
-        forest = DependencyForest.from_edges(
+        forest = forest_from_edges(
             "s", 3, [DependencyEdge(2, "obj", 3, 0.5)], vocab5
         )
         graph = build_gnn_graph(forest, vocab5)
@@ -454,7 +467,7 @@ class TestMessages:
 
     def test_unit_probabilities_match_unweighted_bitwise(self, vocab5, tiny_setup):
         config, params, forest, _, token_ids = tiny_setup
-        unit = DependencyForest.from_edges(
+        unit = forest_from_edges(
             "s",
             forest.n,
             [DependencyEdge(e.head, e.label, e.modifier, 1.0) for e in forest.edges],
@@ -485,14 +498,14 @@ class TestGrn:
         # state it gets under an empty graph
         config = ModelConfig(dim_word=3, dim_label=2, dim_hidden=2, steps=2, dropout=0.0, seed=3)
         params = init_params(config, vocab5, num_words=5)
-        connected = DependencyForest.from_edges(
+        connected = forest_from_edges(
             "s",
             4,
             [DependencyEdge(1, "amod", 2, 0.8), DependencyEdge(2, "obj", 3, 0.7),
              DependencyEdge(0, "nsubj", 4, 0.9)],
             vocab5,
         )
-        empty = DependencyForest.from_edges(
+        empty = forest_from_edges(
             "s", 4, [DependencyEdge(0, "nsubj", 4, 0.9)], vocab5
         )
         token_ids = np.array([1, 2, 3, 4])
@@ -589,7 +602,7 @@ class TestForwardBackward:
             graph = None
         elif structure == "doubled-weighted":
             # word 2 heads word 1 under two labels: the adjacency sums them
-            doubled = DependencyForest.from_edges(
+            doubled = forest_from_edges(
                 "s", forest.n, list(forest.edges) + [DependencyEdge(2, "obj", 1, 0.15)], vocab5
             )
             assert _doubled_pairs(doubled) == {(2, 1)}

@@ -36,7 +36,14 @@ from forestrel.forest import (
 )
 from forestrel.encoder import build_gnn_graph
 import reference
-from reference import best_label, brute_force_kbest, candidates, decode_1best, heads
+from reference import (
+    best_label,
+    brute_force_kbest,
+    candidates,
+    decode_1best,
+    forest_from_edges,
+    heads,
+)
 
 
 def _key(tree, vocab):
@@ -45,14 +52,20 @@ def _key(tree, vocab):
     )
 
 
-def _chart_items(chart, n):
-    """Every half-span's ``(log_score, edges)`` list, keyed ``(i, j, direction, shape)``."""
+def _chart_items(chart, probs):
+    """Every half-span's ``(log_score, edges)`` list, keyed ``(i, j, direction,
+    shape)``, with each edge's entry index read as its (modifier, head,
+    label-index) triple."""
+    triples = list(zip(probs.modifier.tolist(), probs.head.tolist(), probs.label.tolist()))
     items = {}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
+    for i in range(probs.n + 1):
+        for j in range(i, probs.n + 1):
             for direction in (LEFT, RIGHT):
                 for shape in (COMPLETE, INCOMPLETE) if i < j else (COMPLETE,):
-                    items[(i, j, direction, shape)] = chart.hypotheses(direction, shape, i, j)
+                    items[(i, j, direction, shape)] = [
+                        (score, tuple(triples[e] for e in edges))
+                        for score, edges in chart.hypotheses(direction, shape, i, j)
+                    ]
     return items
 
 
@@ -117,10 +130,8 @@ def _reference_kbest(probs, k):
     labels = probs.vocab.dep_labels
     trees = []
     for _, key in _reference_chart(probs, k)[(0, probs.n, RIGHT, COMPLETE)]:
-        edges = [
-            DependencyEdge(h, labels[li], m, best_label(probs, h, m)[1]) for m, h, li in key
-        ]
-        trees.append((DependencyTree.from_edges(edges), key))
+        rows = [(m, h, labels[li], best_label(probs, h, m)[1]) for m, h, li in key]
+        trees.append((DependencyTree(probs.sentence_id, probs.n, probs.vocab, rows), key))
     trees.sort(key=lambda te: (-te[0].log_score, te[1]))
     return [tree for tree, _ in trees]
 
@@ -153,19 +164,21 @@ class TestArcTables:
         for trial in range(30):
             n = int(rng.integers(2, 41))
             probs = make(rng, vocab5, n, sentence_id=f"g{trial}")
-            logp, label_idx, prob = _arc_tables(probs)
+            logp, entry = _arc_tables(probs)
             for h in range(n + 1):
                 for m in range(1, n + 1):
                     cands = candidates(probs, m, h)
                     if not cands:
-                        assert (logp[h, m], label_idx[h][m], prob[h][m]) == (-math.inf, -1, 0.0)
+                        assert (logp[h, m], entry[h][m]) == (-math.inf, -1)
                         continue
                     best = max(p for _, p in cands)
                     first = next(label for label, p in cands if p == best)
                     # bitwise: a one-ulp change in an arc score can reorder tied trees
                     assert logp[h, m].hex() == math.log(best).hex()
-                    assert label_idx[h][m] == vocab5.dep_index(first)
-                    assert prob[h][m] == best
+                    e = entry[h][m]
+                    assert (probs.modifier[e], probs.head[e]) == (m, h)
+                    assert probs.label[e] == vocab5.dep_index(first)
+                    assert probs.prob[e] == best
 
 
 class TestDecodeHandCases:
@@ -329,7 +342,7 @@ class TestChartItems:
         rng = np.random.default_rng(5)
         probs = arc_grid_factory(rng, vocab5, 4)
         k = 3
-        chart = _chart_items(_build_chart(probs, k), probs.n)
+        chart = _chart_items(_build_chart(probs, k), probs)
         assert chart[(0, 4, RIGHT, COMPLETE)], "goal item must be populated"
         for (i, j, direction, shape), hypotheses in chart.items():
             assert len(hypotheses) <= k
@@ -346,7 +359,7 @@ class TestChartItems:
     def test_left_incomplete_never_makes_root_a_modifier(self, vocab5, arc_grid_factory):
         rng = np.random.default_rng(6)
         probs = arc_grid_factory(rng, vocab5, 4)
-        chart = _chart_items(_build_chart(probs, 2), probs.n)
+        chart = _chart_items(_build_chart(probs, 2), probs)
         for (i, j, direction, shape), hypotheses in chart.items():
             if direction == LEFT and shape == INCOMPLETE and i == 0:
                 assert hypotheses == []
@@ -418,7 +431,7 @@ class TestSelection:
 
         monkeypatch.setattr(_Chart, "fill", recording)
         want = _reference_chart(probs, k)
-        got = _chart_items(_build_chart(probs, k), n)
+        got = _chart_items(_build_chart(probs, k), probs)
         assert got == {item: want.get(item, []) for item in got}
         assert decode_kbest(probs, k) == _reference_kbest(probs, k)
         assert {"empty", "short", "tied"} <= seen
@@ -487,32 +500,64 @@ class TestFullEnumerationReference:
             k = int(rng.choice([1, 5, 8]))
             probs = tied_grid_factory(rng, vocab5, n, sentence_id=f"t{trial}")
             want = _reference_chart(probs, k)
-            got = _chart_items(_build_chart(probs, k), n)
+            got = _chart_items(_build_chart(probs, k), probs)
             assert got == {item: want.get(item, []) for item in got}
             assert decode_kbest(probs, k) == _reference_kbest(probs, k)
 
 
 class TestMergeTrees:
-    def _tree(self, spec):
-        return DependencyTree.from_edges(DependencyEdge(*e) for e in spec)
+    def _tree(self, spec, vocab):
+        edges = [DependencyEdge(*e) for e in spec]
+        return forest_from_edges("s", len(edges), edges, vocab, DependencyTree)
 
     def test_single_tree_merge_is_the_tree_itself(self, vocab5):
-        tree = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)])
+        tree = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)], vocab5)
         forest = merge_trees([tree], vocab5, sentence_id="s")
         assert set(e.triple for e in forest.edges) == set(e.triple for e in tree.edges)
         assert forest.num_edges == 2
 
     def test_union_semantics_and_first_probability_wins(self, vocab5):
-        first = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)])
-        second = self._tree([(0, "nsubj", 1, 0.5), (0, "obj", 2, 0.3)])
+        first = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)], vocab5)
+        second = self._tree([(0, "nsubj", 1, 0.5), (0, "obj", 2, 0.3)], vocab5)
         forest = merge_trees([first, second], vocab5)
         assert forest.num_edges == 3
         nsubj = [e for e in forest.edges if e.label == "nsubj"][0]
         assert nsubj.prob == 0.9  # from the first (better) tree
 
+    def test_first_occurrence_wins_in_any_tree_order(self, vocab5):
+        # Trees not in best-first order: each shared key keeps the probability
+        # of the tree passed first, and entries come out in canonical order.
+        trees = [
+            self._tree([(2, "amod", 1, 0.2), (0, "obj", 2, 0.3), (2, "obj", 3, 0.4)], vocab5),
+            self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8), (2, "obj", 3, 0.7)], vocab5),
+            self._tree([(2, "amod", 1, 0.6), (1, "obj", 2, 0.5), (2, "conj", 3, 0.1)], vocab5),
+        ]
+        forest = merge_trees(trees, vocab5, sentence_id="s")
+        assert list(forest.iter_entries()) == [
+            (1, 0, "nsubj", 0.9),
+            (1, 2, "amod", 0.2),
+            (2, 0, "obj", 0.3),
+            (2, 1, "obj", 0.8),
+            (3, 2, "obj", 0.4),
+            (3, 2, "conj", 0.1),
+        ]
+        reversed_order = merge_trees(trees[::-1], vocab5, sentence_id="s")
+        assert [p for *_, p in reversed_order.iter_entries()] == [0.9, 0.6, 0.3, 0.5, 0.7, 0.1]
+
+    def test_trees_under_another_vocabulary_are_read_by_label_name(self, vocab5):
+        own = DependencyTree.from_edges(
+            [DependencyEdge(0, "obj", 1, 0.9), DependencyEdge(1, "conj", 2, 0.8)]
+        )
+        other = self._tree([(0, "nsubj", 1, 0.5), (1, "obj", 2, 0.3)], vocab5)
+        forest = merge_trees([own, other], vocab5)
+        assert forest == DependencyForest(
+            "", 2, vocab5,
+            [(1, 0, "obj", 0.9), (1, 0, "nsubj", 0.5), (2, 1, "conj", 0.8), (2, 1, "obj", 0.3)],
+        )
+
     def test_mixed_lengths_rejected(self, vocab5):
-        a = self._tree([(0, "nsubj", 1, 0.9)])
-        b = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)])
+        a = self._tree([(0, "nsubj", 1, 0.9)], vocab5)
+        b = self._tree([(0, "nsubj", 1, 0.9), (1, "obj", 2, 0.8)], vocab5)
         with pytest.raises(ValueError, match="mixed sentence lengths"):
             merge_trees([a, b], vocab5)
         with pytest.raises(ValueError):
@@ -575,7 +620,7 @@ class TestEdgewise:
                     if p > gamma
                 ]
                 kept = [kept[i] for i in rng.permutation(len(kept))]
-                want = DependencyForest.from_edges(probs.sentence_id, n, kept, vocab5)
+                want = forest_from_edges(probs.sentence_id, n, kept, vocab5)
                 assert edgewise_forest(probs, gamma) == want
 
     def test_loading_thresholding_and_graphs_build_no_edges(
@@ -589,12 +634,19 @@ class TestEdgewise:
         def no_edge(*args):
             raise AssertionError("a DependencyEdge was built")
 
-        for module in (core, dataio, forestmod):
-            monkeypatch.setattr(module, "DependencyEdge", no_edge)
+        assert not hasattr(dataio, "DependencyEdge") and not hasattr(forestmod, "DependencyEdge")
+        monkeypatch.setattr(core, "DependencyEdge", no_edge)
         loaded = dataio.load_forests(path, vocab5)
         for probs in grids:
             assert loaded[probs.sentence_id] == edgewise_forest(probs, 0.05)
             assert build_gnn_graph(loaded[probs.sentence_id], vocab5).num_edges > 0
+        # Trees too: decoding, merging, the synthetic gold trees and their files.
+        for probs in grids:
+            trees = decode_kbest(probs, 3)
+            assert merge_trees(trees, vocab5, probs.sentence_id).num_edges >= probs.n
+        data = dataio.synth_generate(dataio.SynthSpec(n_sentences=5, seed=3))
+        dataio.save_trees(data.gold_trees, tmp_path / "gold.jsonl")
+        assert dataio.load_trees(tmp_path / "gold.jsonl", data.vocab) == data.gold_trees
 
 
 class TestInjectFallback:
@@ -644,7 +696,7 @@ class TestInjectFallback:
 
 class TestStats:
     def _forest(self, vocab, n, triples):
-        return DependencyForest.from_edges(
+        return forest_from_edges(
             "s0", n, [DependencyEdge(h, l, m, p) for (h, l, m, p) in triples], vocab
         )
 
@@ -708,16 +760,14 @@ class TestStats:
             RelationInstance(sentences[1], (1, 2), (3, 4), "R-B"),
         ]
         forests = [
-            DependencyForest.from_edges(
+            forest_from_edges(
                 "s0",
                 3,
                 [DependencyEdge(0, "nsubj", 1, 0.9), DependencyEdge(1, "obj", 2, 0.8),
                  DependencyEdge(2, "amod", 3, 0.7)],
                 vocab5,
             ),
-            DependencyForest.from_edges(
-                "s1", 3, [DependencyEdge(0, "nsubj", 1, 0.9)], vocab5
-            ),
+            forest_from_edges("s1", 3, [DependencyEdge(0, "nsubj", 1, 0.9)], vocab5),
         ]
         gold = [
             DependencyTree.from_edges(
@@ -757,9 +807,7 @@ class TestStats:
     def test_misalignment_detected(self, vocab5):
         sentence = Sentence("s0", ("a", "b", "c"))
         inst = RelationInstance(sentence, (1, 2), (3, 4), "R-A")
-        forest = DependencyForest.from_edges(
-            "sX", 3, [DependencyEdge(0, "nsubj", 1, 0.9)], vocab5
-        )
+        forest = forest_from_edges("sX", 3, [DependencyEdge(0, "nsubj", 1, 0.9)], vocab5)
         with pytest.raises(ValueError, match="misaligned"):
             forest_stats([forest], [inst, inst])
         with pytest.raises(ValueError, match="aligned with instance"):
