@@ -8,11 +8,11 @@ Arc probabilities, dependency forests and trees share one form, four
 read-only numpy arrays in canonical order, and one array check (``_ArcSet``);
 a tree is a forest whose check adds one rule, one head per word.  Everything
 downstream reads those arrays; one modifier's entries are the run that
-``np.searchsorted`` finds in ``modifier``.  Labels reach the check as
-vocabulary indices: rows from callers are split into columns (files hold
-columns) and label names mapped to indices in one pass (an unknown name to
--1), and the synthetic generator passes index arrays through
-``_ArcSet._from_arrays`` without building rows.
+``np.searchsorted`` finds in ``modifier``.  Only entries from outside the
+package are checked: rows from callers, split into columns, and the columns
+of a file, their label names mapped to vocabulary indices in one pass.  Arc
+sets the package derives (the synthetic generator's draws, subsets, decoded
+trees, unions, and a set read under another label order) are kept as built.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,53 +217,26 @@ class _ArcSet:
         vocab: LabelVocab,
         entries: Iterable[tuple[int, int, str, float]],
     ) -> None:
-        self._check_named(sentence_id, n, vocab, _check_types(list(entries), _ARC_FIELDS, "arc"))
+        self._check(sentence_id, n, vocab, _check_types(list(entries), _ARC_FIELDS, "arc"))
 
     @classmethod
     def _from_columns(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
         """Build from ``(modifier, head, label, prob)`` columns that
         ``_check_columns`` passed (a file reader's)."""
         arcs = cls.__new__(cls)
-        arcs._check_named(sentence_id, n, vocab, columns)
+        arcs._check(sentence_id, n, vocab, columns)
         return arcs
 
-    @classmethod
-    def _from_arrays(cls, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence):
-        """Build from ``(modifier, head, label, prob)`` arrays whose labels are
-        vocabulary indices (the synthetic generator's).  The rules and
-        messages are the row constructor's; an index outside ``0..L-1`` is
-        refused as well."""
-        modifier, head, label, prob = columns
-
-        def entry(i: int) -> tuple:
-            li = int(label[i])
-            name = vocab.dep_labels[li] if 0 <= li < vocab.num_dep_labels else li
-            return int(modifier[i]), int(head[i]), name, float(prob[i])
-
-        arcs = cls.__new__(cls)
-        arcs._check(sentence_id, n, vocab, columns, entry)
-        return arcs
-
-    def _check_named(self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence) -> None:
-        """``_check`` on columns whose labels are names; an unknown name maps to -1."""
+    def _check(self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence) -> None:
+        """Check every entry rule on the ``(modifier, head, label name, prob)``
+        columns from outside the package and keep them in canonical order,
+        label names mapped to vocabulary indices (an unknown name to -1)."""
+        if n < 1:
+            raise ValueError(f"sentence length must be >= 1, got {n}")
         modifier, head, names, prob = columns
         index = vocab._dep_index  # type: ignore[attr-defined]
         label = np.fromiter(map(index.get, names, repeat(-1)), np.int64, len(names))
-
-        def entry(i: int) -> tuple:
-            return tuple(column[i] for column in columns)
-
-        self._check(sentence_id, n, vocab, (modifier, head, label, prob), entry)
-
-    def _check(
-        self, sentence_id: str, n: int, vocab: LabelVocab, columns: Sequence, entry: Callable
-    ) -> None:
-        """Check every entry rule on the ``(modifier, head, label index, prob)``
-        columns and keep them in canonical order; ``entry(i)`` gives entry
-        ``i`` as its caller passed it, for the error message."""
-        if n < 1:
-            raise ValueError(f"sentence length must be >= 1, got {n}")
-        modifier, head, label, prob = map(np.asarray, columns)
+        modifier, head, prob = map(np.asarray, (modifier, head, prob))
         n_labels = vocab.num_dep_labels
         # One mask flags every bad entry.  The first one in input order is
         # then checked test by test, so its error is the one a scalar pass
@@ -282,15 +255,13 @@ class _ArcSet:
         bad[order[1:]] |= np.diff(key[order]) == 0
         if bad.any():
             first = int(np.argmax(bad))
-            m, h, name, p = entry(first)
+            m, h, name, p = (column[first] for column in columns)
             if not 1 <= m <= n:
                 raise ValueError(f"modifier {m} out of range 1..{n}")
             if not 0 <= h <= n:
                 raise ValueError(f"head {h} out of range 0..{n}")
             if h == m:
                 raise ValueError(f"self-arc at position {m}")
-            if type(name) is not str:
-                raise ValueError(f"label index {name} out of range 0..{n_labels - 1}")
             vocab.dep_index(name)  # raises LabelLookupError for unknown labels
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"probability {p} for {(m, h, name)} not in (0, 1]")
@@ -321,6 +292,22 @@ class _ArcSet:
         entries in canonical order is checked and canonical already."""
         columns = (self.modifier, self.head, self.label, self.prob)
         return cls._kept(self.sentence_id, self.n, self.vocab, *(c[keep] for c in columns))
+
+    def _under(self, vocab: LabelVocab):
+        """The same entries with labels indexed in ``vocab``: ``self`` when the
+        label order is the same, else labels mapped by name and sorted again.
+        The first entry in canonical order whose label ``vocab`` lacks raises
+        ``LabelLookupError``."""
+        if self.vocab.dep_labels == vocab.dep_labels:
+            return self
+        index = vocab._dep_index  # type: ignore[attr-defined]
+        to = np.fromiter(map(index.get, self.vocab.dep_labels, repeat(-1)), np.int64)
+        label = to[self.label]
+        if (label < 0).any():  # the first such entry's label raises LabelLookupError
+            vocab.dep_index(self.vocab.dep_labels[self.label[np.argmax(label < 0)]])
+        order = np.argsort(_arc_key(self.n, vocab.num_dep_labels, self.modifier, self.head, label))
+        columns = (self.modifier, self.head, label, self.prob)
+        return type(self)._kept(self.sentence_id, self.n, vocab, *(c[order] for c in columns))
 
     def _columns(self) -> dict[str, list]:
         """``iter_entries`` as one list per ``_ARC_FIELDS`` field (the file layout)."""

@@ -34,9 +34,10 @@ label) entry fails in any of the three files.
 
 The synthetic generator scores each sentence as whole arrays: one Gumbel
 draw of shape (n, n·L), a softmax per row, and one ``np.nonzero`` for the
-entries above the floor, whose modifier, head and label-index arrays go to
-the same check without building rows; the gold tree is the subset of those
-checked entries that the gold head vector and labels pick.
+entries above the floor.  Its modifier, head, label-index and probability
+arrays are valid and in canonical order by construction, so they are kept
+without the check (the tests re-read them through it); the gold tree is the
+subset of those entries that the gold head vector and labels pick.
 
 Every JSONL file is written by one writer through ``atomic_open``: a file is
 either the old one or the complete new one, never a truncated mix.
@@ -322,6 +323,8 @@ class SynthSpec:
             raise ValueError(f"need at least {RELATION_ROWS + 1} dependency labels")
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be a finite number > 0, got {self.temperature}")
+        if 1 / self.temperature == math.inf:  # every probability would be NaN
+            raise ValueError(f"temperature {self.temperature} is too small: 1/T overflows")
 
 
 @dataclass(frozen=True)
@@ -477,7 +480,7 @@ def synth_generate(spec: SynthSpec) -> SynthData:
         head = cell // n_labels
         head += head >= modifier
         columns = (modifier, head, cell % n_labels, probs[row, cell])
-        arcs = arc_probs[sid] = ArcProbabilities._from_arrays(sid, n, vocab, columns)
+        arcs = arc_probs[sid] = ArcProbabilities._kept(sid, n, vocab, *columns)
         # Every gold arc is stored, so the gold tree is a subset of the arcs.
         at = arcs.modifier - 1
         is_gold = (arcs.head == gold_head[at]) & (arcs.label == gold_label[at])

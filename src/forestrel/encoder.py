@@ -202,10 +202,7 @@ def init_params(
 def build_gnn_graph(forest: DependencyForest, vocab: LabelVocab) -> DependencyForest:
     """The forest's word arcs (ROOT-anchored arcs dropped) in canonical order,
     read under ``vocab`` when the forest's labels are indexed differently."""
-    words = forest._subset(DependencyForest, forest.head != 0)
-    if words.vocab.dep_labels != vocab.dep_labels:
-        words = DependencyForest(words.sentence_id, words.n, vocab, words.iter_entries())
-    return words
+    return forest._subset(DependencyForest, forest.head != 0)._under(vocab)
 
 
 def _graph_operators(

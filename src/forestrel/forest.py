@@ -322,8 +322,7 @@ def merge_trees(
     for t in trees[1:]:
         if t.n != n:
             raise ValueError(f"mixed sentence lengths in merge_trees: {n} vs {t.n}")
-    if any(t.vocab.dep_labels != vocab.dep_labels for t in trees):
-        trees = [DependencyTree(t.sentence_id, n, vocab, t.iter_entries()) for t in trees]
+    trees = [t._under(vocab) for t in trees]
     fields = zip(*((t.modifier, t.head, t.label, t.prob) for t in trees))
     columns = [np.concatenate(field) for field in fields]
     # np.unique keeps each key's first index in canonical key order.
@@ -348,11 +347,18 @@ def forest_density(forest: DependencyForest) -> float:
 
 
 def oracle_las(forest: DependencyForest, gold: DependencyTree) -> float:
-    """Fraction of gold labeled arcs present in the forest."""
+    """Fraction of gold labeled arcs present in the forest, the gold tree read
+    under the forest's label order (``LabelLookupError`` for a label it lacks)."""
     if gold.n != forest.n:
         raise ValueError(f"gold tree has {gold.n} tokens, forest has {forest.n}")
-    hit = sum(1 for e in gold.edges if forest.has_edge(e.head, e.label, e.modifier))
-    return hit / forest.n
+    gold = gold._under(forest.vocab)
+    keys, wanted = (
+        _arc_key(forest.n, forest.vocab.num_dep_labels, a.modifier, a.head, a.label)
+        for a in (forest, gold)
+    )
+    # Keys are unique and sorted (canonical order): a gold key is found or not.
+    hit = np.searchsorted(keys, wanted, "right") - np.searchsorted(keys, wanted)
+    return int(hit.sum()) / forest.n
 
 
 def mention_connectivity(

@@ -20,12 +20,16 @@ chart decoder.
 ``synth_generate_per_cell`` scores one modifier at a time and one
 (head, label) cell at a time, and builds each sentence's arc set through
 the row constructor from label names; ``synth_generate`` scores a sentence
-as whole arrays and hands label indices to the array constructor.  They
+as whole arrays and keeps its label-index arrays without the check.  They
 share only the sentence sampler, so their files must match byte for byte.
 
 ``forest_from_edges`` builds an arc set from ``DependencyEdge`` rows, keeping
 the first of repeated (head, label, modifier) triples: the tests' shorthand
 for hand-written forests and trees.
+
+``oracle_las_by_edges`` is oracle LAS by its definition, one ``has_edge``
+lookup by label name per gold edge: the reference for ``forest.oracle_las``,
+which compares arc keys.
 """
 
 import itertools
@@ -57,6 +61,12 @@ def forest_from_edges(
         kept.setdefault(e.triple, e)
     rows = [(e.modifier, e.head, e.label, e.prob) for e in kept.values()]
     return cls(sentence_id, n, vocab, rows)
+
+
+def oracle_las_by_edges(forest: DependencyForest, gold: DependencyTree) -> float:
+    """Fraction of the gold tree's labeled edges that the forest holds."""
+    hit = sum(1 for e in gold.edges if forest.has_edge(e.head, e.label, e.modifier))
+    return hit / forest.n
 
 
 def heads(probs: ArcProbabilities, modifier: int) -> tuple[int, ...]:

@@ -435,6 +435,17 @@ class TestSynthCommand:
         assert capsys.readouterr().err == "error: temperature must be a finite number > 0, got nan\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_temperature_whose_reciprocal_overflows_is_an_error_line(self, tmp_path, capsys):
+        # 1/T overflowing made every probability NaN: empty arc records and a
+        # gold file that the tree reader refuses.
+        out = tmp_path / "data"
+        code = main(["synth", "--out-dir", str(out), "--count", "3", "--temperature", "5e-324",
+                     "--seed", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: temperature 5e-324 is too small: 1/T overflows\n"
+        assert not out.exists()
+
     def test_gold_arc_below_the_storage_floor_is_an_error_line(self, tmp_path, capsys):
         out = tmp_path / "data"
         code = main(["synth", "--out-dir", str(out), "--count", "30", "--seed", "18",

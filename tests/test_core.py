@@ -165,24 +165,22 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
+def _file_columns(entries):
+    """``entries`` as the ``(modifier, head, label, prob)`` lists of a file record."""
+    return tuple(map(list, zip(*entries))) or ([], [], [], [])
+
+
 class TestArrayConstructor:
+    """The file reader's column constructor and the row constructor share one check."""
+
     @pytest.mark.parametrize("cls", [ArcProbabilities, DependencyForest])
     @pytest.mark.parametrize("entries", BAD_ENTRY_CASES)
     def test_refuses_what_the_row_constructor_refuses(self, cls, entries, vocab5):
-        modifier, head, names, prob = map(np.array, zip(*entries))
-        label = np.array([vocab5.dep_index(name) for name in names])
         by_rows = _outcome(lambda: cls("s", 2, vocab5, entries))
-        columns = (modifier, head, label, prob)
-        by_arrays = _outcome(lambda: cls._from_arrays("s", 2, vocab5, columns))
-        assert by_arrays == by_rows
+        by_columns = _outcome(lambda: cls._from_columns("s", 2, vocab5, _file_columns(entries)))
+        assert by_columns == by_rows
         # only the stored-mass cases build, and only as a forest
         assert cls is DependencyForest or isinstance(by_rows, tuple)
-
-    @pytest.mark.parametrize("index", [-1, 5, 2**40])
-    def test_label_index_outside_the_vocabulary_refused(self, index, vocab5):
-        columns = (np.array([1, 2]), np.array([0, 1]), np.array([0, index]), np.full(2, 0.5))
-        with pytest.raises(ValueError, match=rf"^label index {index} out of range 0\.\.4$"):
-            ArcProbabilities._from_arrays("s", 2, vocab5, columns)
 
 
 class TestTreeScore:
@@ -307,11 +305,8 @@ class TestTreeHeads:
         want = f"a tree needs one head per word; 's' {message} heads"
         with pytest.raises(ValueError, match=f"^{want}$"):
             DependencyTree("s", 2, vocab5, entries)
-        if entries:
-            modifier, head, names, prob = map(np.array, zip(*entries))
-            label = np.array([vocab5.dep_index(name) for name in names])
-            with pytest.raises(ValueError, match=f"^{want}$"):
-                DependencyTree._from_arrays("s", 2, vocab5, (modifier, head, label, prob))
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            DependencyTree._from_columns("s", 2, vocab5, _file_columns(entries))
 
     def test_entry_rules_come_before_the_head_rule(self, vocab5):
         with pytest.raises(ValueError, match="^self-arc at position 1$"):

@@ -326,6 +326,83 @@ def test_malformed_columns_named_with_line(vocab5, tmp_path, load, record, messa
     assert str(info.value) == f"{path}:2: {message}"
 
 
+# Wrong JSON types for an entry of each column, and how the column names them.
+_WRONG_TYPES = {
+    "modifier": (["1", 1.0, True, None], "an int"),
+    "head": (["0", 2.5, False, [0]], "an int"),
+    "label": ([0, None, True, ["amod"]], "a string"),
+    "prob": (["0.5", None, True, {}], "a number"),
+}
+
+
+def _corrupt(kind, record, rng):
+    """Corrupt one field of ``record`` in place, choosing the field and the
+    entry with ``rng``; return a pattern the load's message must match."""
+    i = int(rng.integers(len(record["prob"])))
+    entry = tuple(record[field][i] for field in ("modifier", "head", "label"))
+    if kind == "drop-key":
+        key = str(rng.choice(sorted(record)))
+        del record[key]
+        return rf"'{key}'$"
+    if kind == "retype-entry":
+        field = str(rng.choice(list(_WRONG_TYPES)))
+        values, name = _WRONG_TYPES[field]
+        record[field][i] = values[int(rng.integers(len(values)))]
+        return rf"^arc {i + 1} field '{field}' must be {name}, got \w+$"
+    if kind == "shorten-column":
+        field = str(rng.choice(list(_WRONG_TYPES)))
+        record[field].pop()
+        return r"^columns \['modifier', 'head', 'label', 'prob'\] differ in length: \[[\d, ]+\]$"
+    if kind == "unknown-label":
+        record["label"][i] = "nolabel"
+        return r"^\"unknown dependency label 'nolabel'\"$"
+    if kind == "repeat-entry":
+        for field in ("modifier", "head", "label", "prob"):
+            record[field].append(record[field][i])
+        return rf"^duplicate arc entry {re.escape(repr(entry))}$"
+    if kind in ("prob-0", "prob-1.5"):
+        record["prob"][i] = 0 if kind == "prob-0" else 1.5
+        return rf"^probability {kind[5:]} for {re.escape(repr(entry))} not in \(0, 1\]$"
+    assert kind == "n-0"
+    record["n"] = 0
+    return r"^sentence length must be >= 1, got 0$"
+
+
+_CORRUPTIONS = ["drop-key", "retype-entry", "shorten-column", "unknown-label", "repeat-entry",
+                "prob-0", "prob-1.5", "n-0"]
+_FILES = ["arcs", "forests", "trees"]
+
+
+@pytest.mark.parametrize("kind", _CORRUPTIONS)
+@pytest.mark.parametrize("file", _FILES)
+def test_one_corrupted_field_is_named_with_its_line(tmp_path, file, kind):
+    # Seeded fuzz: in a generated arc, forest or tree file, one field of one
+    # record is corrupted; the load names the line and the field or entry.
+    data = synth_generate(SynthSpec(n_sentences=6, seed=9))
+    forests = {sid: edgewise_forest(p, 0.05) for sid, p in data.arc_probs.items()}
+    save, load, by_id = {
+        "arcs": (save_arc_probs, load_arc_probs, data.arc_probs),
+        "forests": (write_forests, load_forests, forests),
+        "trees": (save_trees, load_trees, data.gold_trees),
+    }[file]
+    path = tmp_path / f"{file}.jsonl"
+    save(by_id, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert load(path, data.vocab) == by_id
+    rng = np.random.default_rng([_FILES.index(file), _CORRUPTIONS.index(kind)])
+    for trial in range(6):
+        line = int(rng.integers(len(lines)))
+        record = json.loads(lines[line])
+        pattern = _corrupt(kind, record, rng)
+        _write_rows(path, [json.loads(text) for text in lines[:line]] + [record])
+        with pytest.raises(DataFormatError) as info:
+            load(path, data.vocab)
+        prefix = f"{path}:{line + 1}: "
+        message = str(info.value)
+        assert message.startswith(prefix), (trial, message)
+        assert re.search(pattern, message[len(prefix):]), (trial, message)
+
+
 def test_row_layout_files_rewritten_as_columns_load_the_same(vocab5, tmp_path):
     # Lines in the row layout that arc, forest and tree files had before the
     # column layout; the rows are each file's entries in canonical order.
@@ -575,6 +652,13 @@ class TestSynthSpecValidation:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthSpec(n_sentences=1, temperature=value)
 
+    @pytest.mark.parametrize("value", [5e-324, 1e-309])
+    def test_temperature_whose_reciprocal_overflows_refused(self, value):
+        # 1/T is inf, so every probability would be NaN and every record empty.
+        message = f"temperature {value} is too small: 1/T overflows"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(n_sentences=1, temperature=value)
+
 
 class TestSynthGenerator:
     def test_same_seed_is_byte_identical(self, tmp_path):
@@ -688,6 +772,32 @@ class TestSynthGenerator:
             for name in ref:
                 assert out[name].read_bytes() == ref[name].read_bytes(), (name, spec)
         assert 10 <= failed <= 60
+
+    @pytest.mark.parametrize("n_dep_labels", [3, 12])
+    @pytest.mark.parametrize("temperature", [1e-300, 1e-3, 0.05, 0.2, 1.0])
+    def test_generated_arc_sets_pass_the_check_they_skip(self, n_dep_labels, temperature):
+        # The generator keeps its arrays unchecked; re-read through the file
+        # columns' check, every arc set and gold tree must come back equal.
+        kept = 0
+        for n in range(3, 41):
+            for seed in range(3):
+                spec = SynthSpec(n_sentences=2, min_len=n, max_len=n, n_dep_labels=n_dep_labels,
+                                 temperature=temperature, seed=seed)
+                try:
+                    data = synth_generate(spec)
+                except RuntimeError as exc:
+                    assert "storage floor" in str(exc)
+                    continue
+                kept += 1
+                for sid, probs in data.arc_probs.items():
+                    columns = tuple(probs._columns().values())
+                    again = ArcProbabilities._from_columns(sid, n, data.vocab, columns)
+                    assert again == probs and again.label.tolist() == probs.label.tolist()
+                    gold = data.gold_trees[sid]
+                    columns = tuple(gold._columns().values())
+                    again = DependencyTree._from_columns(sid, n, data.vocab, columns)
+                    assert again == gold and check_tree(again) == []
+        assert kept >= 60  # of 114; T=1.0 with 12 labels loses the most to the floor
 
     def test_vocab_layout(self):
         vocab = synth_vocab(SynthSpec(n_sentences=1))

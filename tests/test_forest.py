@@ -12,6 +12,7 @@ from forestrel.core import (
     DependencyEdge,
     DependencyForest,
     DependencyTree,
+    LabelVocab,
     RelationInstance,
     Sentence,
     check_tree,
@@ -648,6 +649,40 @@ class TestEdgewise:
         dataio.save_trees(data.gold_trees, tmp_path / "gold.jsonl")
         assert dataio.load_trees(tmp_path / "gold.jsonl", data.vocab) == data.gold_trees
 
+    def test_derived_arc_sets_are_not_checked_again(
+        self, vocab5, arc_grid_factory, tmp_path, monkeypatch
+    ):
+        # Only entries from outside the package go through the arc check.
+        rng = np.random.default_rng(37)
+        grids = [arc_grid_factory(rng, vocab5, 9, sentence_id=f"d{i}") for i in range(4)]
+        reordered = LabelVocab(vocab5.dep_labels[::-1], vocab5.relations, vocab5.ne_tags)
+        path = tmp_path / "forests.jsonl"
+        dataio.write_forests({p.sentence_id: edgewise_forest(p, 0.05) for p in grids}, path)
+        spec = dataio.SynthSpec(n_sentences=5, seed=3)
+        expected = dataio.synth_generate(spec)
+
+        def no_check(*args):
+            raise AssertionError("an arc set was checked")
+
+        monkeypatch.setattr(core._ArcSet, "_check", no_check)
+        data = dataio.synth_generate(spec)
+        assert data.arc_probs == expected.arc_probs and data.gold_trees == expected.gold_trees
+        for probs in grids:
+            forest = edgewise_forest(probs, 0.05)
+            mine, theirs = (build_gnn_graph(forest, v) for v in (vocab5, reordered))
+            assert set(theirs.iter_entries()) == set(mine.iter_entries())
+            assert theirs.vocab is reordered and mine.num_edges > 0
+            trees = decode_kbest(probs, 3)
+            merged = merge_trees(trees, vocab5, probs.sentence_id)
+            turned = merge_trees(trees, reordered, probs.sentence_id)
+            assert set(turned.iter_entries()) == set(merged.iter_entries())
+            assert oracle_las(merged, trees[-1]._under(reordered)) == 1.0
+            assert oracle_las(forest, trees[0]) == reference.oracle_las_by_edges(forest, trees[0])
+        with pytest.raises(AssertionError, match="checked"):
+            ArcProbabilities("s", 1, vocab5, [(1, 0, "amod", 0.5)])
+        with pytest.raises(AssertionError, match="checked"):
+            dataio.load_forests(path, vocab5)
+
 
 class TestInjectFallback:
     def test_uncovered_position_gets_uniform_candidates(self, vocab5):
@@ -732,6 +767,24 @@ class TestStats:
         short = DependencyTree.from_edges([DependencyEdge(0, "nsubj", 1, 0.9)])
         with pytest.raises(ValueError, match="tokens"):
             oracle_las(forest, short)
+
+    def test_oracle_las_matches_the_edge_reference(self, vocab5, arc_grid_factory):
+        # Gold trees decoded from the forest's own grid and from another grid
+        # of the same length, read under the forest's label order and reversed.
+        reordered = LabelVocab(vocab5.dep_labels[::-1], vocab5.relations, vocab5.ne_tags)
+        rng = np.random.default_rng(41)
+        total = 0.0
+        for trial in range(30):
+            n = int(rng.integers(2, 16))
+            probs, other = (arc_grid_factory(rng, vocab5, n, sentence_id=f"o{trial}") for _ in "ab")
+            for gold in (decode_kbest(probs, 3)[-1], decode_kbest(other, 1)[0]):
+                turned = DependencyTree(gold.sentence_id, n, reordered, gold.iter_entries())
+                for gamma in (0.0, 0.1, 0.3, 1.0):
+                    forest = edgewise_forest(probs, gamma)
+                    want = reference.oracle_las_by_edges(forest, gold)
+                    assert oracle_las(forest, gold) == oracle_las(forest, turned) == want
+                    total += want
+        assert 0 < total < 30 * 2 * 4
 
     def test_mention_connectivity_ignores_root_arcs(self, vocab5):
         # words 1 and 3 both attach to ROOT; that alone must not connect them
